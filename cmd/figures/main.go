@@ -50,8 +50,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel artifact/point evaluations (0 = all cores)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
 	warm := flag.Bool("warm", true, "warm-start continuation for the Figure 4-8 sweeps")
-	reduce := flag.Bool("reduce", true, "allow the Krylov reduced-order fast path for the transient figures")
-	noReduction := flag.Bool("no-reduction", false, "force the full transient solver (equivalent to -reduce=false)")
+	noReduction := flag.Bool("no-reduction", false, "force the full transient solver (disable the Krylov reduced-order fast path)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -69,7 +68,7 @@ func main() {
 		dir:         *outDir,
 		points:      *points,
 		fast:        *fast,
-		noReduction: !*reduce || *noReduction,
+		noReduction: *noReduction,
 		ctx:         ctx,
 		sweep:       rlcint.SweepOptions{Workers: *workers, Warm: *warm},
 	}

@@ -46,8 +46,7 @@ func main() {
 	ckpt := flag.String("checkpoint", "", "write resumable snapshots to this file")
 	every := flag.Int("every", 0, "checkpoint cadence in output grid steps (default 64)")
 	resume := flag.Bool("resume", false, "continue from the -checkpoint file instead of starting fresh")
-	reduce := flag.Bool("reduce", true, "allow the Krylov reduced-order fast path for qualifying circuits")
-	noReduction := flag.Bool("no-reduction", false, "force the full solver (equivalent to -reduce=false)")
+	noReduction := flag.Bool("no-reduction", false, "force the full solver (disable the Krylov reduced-order fast path)")
 	diagOut := flag.Bool("diag", false, "print solver diagnostics (factor shape, recovery ladder) to stderr")
 	flag.Parse()
 
@@ -108,11 +107,11 @@ func main() {
 		Limits:          runctl.Limits{Timeout: *timeout},
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *every,
+		NoReduction:     *noReduction,
 	}
 	if *be {
 		opts.Method = spice.BackwardEuler
 	}
-	opts.NoReduction = !*reduce || *noReduction
 	var res *spice.Result
 	stopped := false
 	if *resume {

@@ -476,7 +476,7 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	}
 	m, d, err := p.Eval(best.h, best.k)
 	if err != nil {
-		return Optimum{}, fmt.Errorf("%w: final evaluation: %v", ErrOptimize, err)
+		return Optimum{}, fmt.Errorf("%w: final evaluation: %w", ErrOptimize, err)
 	}
 	return Optimum{
 		H: best.h, K: best.k,

@@ -54,6 +54,7 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 	p.ctl = runctl.New(ctx, runctl.Limits{})
 	nIdeal := L / opt.H
 	best := LinePlan{Continuous: opt, Length: L, Total: math.Inf(1)}
+	var lastErr error // the last candidate's failure, wrapped when none is feasible
 	for _, n := range []int{int(math.Floor(nIdeal)), int(math.Ceil(nIdeal)), int(math.Round(nIdeal)) + 1} {
 		if n < 1 {
 			n = 1
@@ -67,6 +68,7 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 			if e := p.ctl.Check("core.PlanLine"); e != nil {
 				return LinePlan{}, e
 			}
+			lastErr = err
 			continue
 		}
 		_, d, err := p.Eval(h, k)
@@ -74,6 +76,7 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 			if runctl.IsStop(err) {
 				return LinePlan{}, err
 			}
+			lastErr = err
 			continue
 		}
 		total := float64(n) * d.Tau
@@ -86,6 +89,9 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 		}
 	}
 	if math.IsInf(best.Total, 1) {
+		if lastErr != nil {
+			return LinePlan{}, fmt.Errorf("core: PlanLine found no feasible stage count for L=%g: %w", L, lastErr)
+		}
 		return LinePlan{}, fmt.Errorf("core: PlanLine found no feasible stage count for L=%g", L)
 	}
 	return best, nil
@@ -94,9 +100,11 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 // optimizeKAtFixedH minimizes the stage delay over k at a fixed segment
 // length using golden-section search around the seed.
 func optimizeKAtFixedH(p Problem, h, kSeed float64) (float64, error) {
+	var evalErr error // the last failed evaluation, wrapped when no k is feasible
 	obj := func(k float64) float64 {
 		_, d, err := p.Eval(h, k)
 		if err != nil {
+			evalErr = err
 			return math.Inf(1)
 		}
 		return d.Tau
@@ -132,6 +140,9 @@ func optimizeKAtFixedH(p Problem, h, kSeed float64) (float64, error) {
 	}
 	k = 0.5 * (a + b)
 	if math.IsInf(obj(k), 1) {
+		if evalErr != nil {
+			return 0, fmt.Errorf("core: no feasible k at h=%g: %w", h, evalErr)
+		}
 		return 0, fmt.Errorf("core: no feasible k at h=%g", h)
 	}
 	return k, nil

@@ -13,7 +13,7 @@ const momK = 6
 
 // gateRef holds the full-space linearized reference transient (and its
 // initial-condition transfer moments), computed once per Reduce call and
-// reused across every (order, stride) gate attempt.
+// reused across every gate attempt.
 type gateRef struct {
 	sys  *System
 	opts Options
@@ -166,40 +166,20 @@ func zero(v []float64) []float64 {
 	return v
 }
 
-// maxUsableStride clamps the candidate stride so the gate window and the
-// production run both retain enough internal steps to be meaningful.
-func maxUsableStride(opts Options) int {
-	s := opts.MaxStride
-	if s < 1 {
-		s = 1
-	}
-	for s > 1 && (opts.GateWindow/s < 8 || opts.NSteps/s < 4) {
-		s /= 2
-	}
-	return s
-}
-
-// compare runs the reduced model (linearized gate variant) at the candidate
-// stride and returns the worst per-port relative RMS waveform error against
-// the reference, plus the normalized moment mismatch (informative).
-func (g *gateRef) compare(m *Model, stride int) (gerr, momErr float64, err error) {
+// compare runs the reduced model (linearized gate variant) over the gate
+// window and returns its worst per-port relative RMS waveform error against
+// the reference.
+func (g *gateRef) compare(m *Model) (float64, error) {
 	opts := g.opts
 	p := len(m.Ports)
-	ni := g.w / stride
-	if ni < 2 {
-		return math.Inf(1), 0, nil
-	}
-	wOut := ni * stride
-	dtInt := float64(stride) * opts.DT
-
-	stBE, berr := m.prep(dtInt, false, true)
-	if berr != nil {
-		return 0, 0, berr
+	stBE, err := m.prep(opts.DT, false, true)
+	if err != nil {
+		return 0, err
 	}
 	var stTR *Stepper
 	if m.tr {
-		if stTR, berr = m.prep(dtInt, true, true); berr != nil {
-			return 0, 0, berr
+		if stTR, err = m.prep(opts.DT, true, true); err != nil {
+			return 0, err
 		}
 	}
 
@@ -220,72 +200,71 @@ func (g *gateRef) compare(m *Model, stride int) (gerr, momErr float64, err error
 		}
 	}
 	fillU(0, upPrev)
-	ts := make([]float64, ni+1)
 	vals := make([][]float64, p)
 	for pi := range vals {
-		vals[pi] = make([]float64, ni+1)
+		vals[pi] = make([]float64, g.w+1)
 		vals[pi][0] = run.v[pi]
 	}
-	for j := 1; j <= ni; j++ {
-		t := float64(j*stride) * opts.DT
+	for j := 1; j <= g.w; j++ {
+		t := float64(j) * opts.DT
 		st := stBE
 		if m.StepIsTR(j) {
 			st = stTR
 		}
 		fillU(t, up)
 		if _, aerr := run.Advance(st, t, up, upPrev, nil, NewtonOpts{}); aerr != nil {
-			return math.Inf(1), 0, nil
+			return math.Inf(1), nil
 		}
 		up, upPrev = upPrev, up
-		ts[j] = t
 		for pi := range vals {
 			vals[pi][j] = run.v[pi]
 		}
 	}
+	return WorstRelRMS(g.ref, vals), nil
+}
 
-	// Resample to the output grid and accumulate the error.
-	out := make([]float64, wOut+1)
+// WorstRelRMS returns the worst per-port relative RMS error of got against
+// ref, where ref[pi] and got[pi] hold port pi's samples on one common grid.
+// Each port's error is relative to its own RMS level, floored at 1e-6 of the
+// loudest port's level so near-silent ports do not dominate; an all-zero
+// reference makes the error absolute. A NaN anywhere yields +Inf. Both the
+// linearized accuracy gate and the large-signal confirmation window of
+// internal/spice judge a reduction with it.
+func WorstRelRMS(ref, got [][]float64) float64 {
+	rms := make([]float64, len(ref))
+	scale := make([]float64, len(ref))
 	maxScale := 0.0
-	rms := make([]float64, p)
-	scale := make([]float64, p)
-	for pi := 0; pi < p; pi++ {
-		if stride == 1 {
-			copy(out, vals[pi])
-		} else {
-			ResampleHermite(ts, vals[pi], opts.DT, out)
-		}
-		se, sr := 0.0, 0.0
-		ref := g.ref[pi]
-		for s := 0; s <= wOut; s++ {
-			d := ref[s] - out[s]
+	for pi, r := range ref {
+		var se, sr float64
+		for s, v := range r {
+			d := v - got[pi][s]
 			se += d * d
-			sr += ref[s] * ref[s]
+			sr += v * v
 		}
-		rms[pi] = math.Sqrt(se / float64(wOut+1))
-		scale[pi] = math.Sqrt(sr / float64(wOut+1))
+		rms[pi] = math.Sqrt(se / float64(len(r)))
+		scale[pi] = math.Sqrt(sr / float64(len(r)))
 		if scale[pi] > maxScale {
 			maxScale = scale[pi]
 		}
 	}
-	for pi := 0; pi < p; pi++ {
+	worst := 0.0
+	for pi := range ref {
 		den := scale[pi]
 		if floor := 1e-6 * maxScale; den < floor {
 			den = floor
 		}
 		if den == 0 {
-			den = 1 // all-zero reference: treat the error as absolute
+			den = 1
 		}
-		if e := rms[pi] / den; e > gerr || math.IsNaN(e) {
-			gerr = e
-			if math.IsNaN(e) {
-				gerr = math.Inf(1)
-				break
-			}
+		e := rms[pi] / den
+		if math.IsNaN(e) {
+			return math.Inf(1)
+		}
+		if e > worst {
+			worst = e
 		}
 	}
-
-	momErr = g.momentError(m)
-	return gerr, momErr, nil
+	return worst
 }
 
 // momentError compares the reduced model's IC-response moments against the
@@ -374,76 +353,4 @@ func (g *gateRef) momentError(m *Model) float64 {
 		}
 	}
 	return worst
-}
-
-// ResampleHermite interpolates samples ys at monotone times ts onto the
-// uniform grid t_j = j·dt (j = 0..len(out)-1) with cubic Hermite segments
-// using three-point finite-difference tangents (Catmull–Rom on uniform
-// interiors, one-sided quadratic tangents at the ends). Output points at or
-// beyond the last sample clamp to it.
-func ResampleHermite(ts, ys []float64, dt float64, out []float64) {
-	n := len(ts)
-	if n == 0 {
-		return
-	}
-	if n == 1 {
-		for j := range out {
-			out[j] = ys[0]
-		}
-		return
-	}
-	seg := 0
-	for j := range out {
-		tq := float64(j) * dt
-		for seg < n-2 && ts[seg+1] < tq {
-			seg++
-		}
-		t0, t1 := ts[seg], ts[seg+1]
-		h := t1 - t0
-		if h <= 0 {
-			out[j] = ys[seg]
-			continue
-		}
-		u := (tq - t0) / h
-		if u <= 0 {
-			out[j] = ys[seg]
-			continue
-		}
-		if u >= 1 {
-			out[j] = ys[seg+1]
-			continue
-		}
-		s1 := (ys[seg+1] - ys[seg]) / h
-		var d0, d1 float64
-		if seg == 0 {
-			if n > 2 {
-				h2 := ts[2] - ts[1]
-				s2 := (ys[2] - ys[1]) / h2
-				d0 = ((2*h+h2)*s1 - h*s2) / (h + h2)
-			} else {
-				d0 = s1
-			}
-		} else {
-			hp := ts[seg] - ts[seg-1]
-			sp := (ys[seg] - ys[seg-1]) / hp
-			d0 = (h*sp + hp*s1) / (hp + h)
-		}
-		if seg+2 < n {
-			hn := ts[seg+2] - ts[seg+1]
-			sn := (ys[seg+2] - ys[seg+1]) / hn
-			d1 = (hn*s1 + h*sn) / (h + hn)
-		} else if seg > 0 {
-			hp := ts[seg] - ts[seg-1]
-			sp := (ys[seg] - ys[seg-1]) / hp
-			d1 = ((2*h+hp)*s1 - h*sp) / (h + hp)
-		} else {
-			d1 = s1
-		}
-		u2 := u * u
-		u3 := u2 * u
-		out[j] = (2*u3-3*u2+1)*ys[seg] +
-			(u3-2*u2+u)*h*d0 +
-			(-2*u3+3*u2)*ys[seg+1] +
-			(u3-u2)*h*d1
-	}
 }

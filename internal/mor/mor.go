@@ -20,12 +20,11 @@
 //   - forms the congruence-projected reduced blocks (VᵀGV, VᵀCV, and the
 //     port couplings), the passivity-friendly PRIMA construction,
 //   - validates the reduction with a differential accuracy gate: a full-space
-//     linear reference transient at the output timestep versus the reduced
-//     stepper at a candidate internal stride, compared as relative RMS
-//     waveform error at the retained rows, escalating the Krylov order and
-//     backing the stride off until the error meets the tolerance — or
-//     rejecting the reduction outright so the caller falls back to the full
-//     solver.
+//     linear reference transient versus the reduced stepper, both at the
+//     output timestep, compared as relative RMS waveform error at the
+//     retained rows, escalating the Krylov order until the error meets the
+//     tolerance — or rejecting the reduction outright so the caller falls
+//     back to the full solver.
 //
 // A validated Model is immutable and safe for concurrent use; per-run
 // mutable state lives in Run (stepper.go).
@@ -70,11 +69,6 @@ type Options struct {
 	Order, MaxOrder int
 	// Tol is the gate's relative RMS waveform-error tolerance (default 1e-4).
 	Tol float64
-	// MaxStride bounds the internal-step stride the gate may select
-	// (default 16). ForceStride1 pins the stride to 1 (checkpointed runs,
-	// which must land internal steps on every output grid point).
-	MaxStride    int
-	ForceStride1 bool
 	// DT and NSteps describe the target run's output grid; TR selects
 	// trapezoidal integration with BESteps backward-Euler startup steps.
 	DT      float64
@@ -82,7 +76,7 @@ type Options struct {
 	TR      bool
 	BESteps int
 	// GateWindow is the reference-simulation length in output steps
-	// (default min(NSteps, 1200), rounded to a stride multiple).
+	// (default min(NSteps, 1200)).
 	GateWindow int
 	// Shift is the Krylov expansion frequency s₀: the basis spans
 	// K((G+s₀C)⁻¹C, (G+s₀C)⁻¹B). Zero selects the mild default
@@ -117,12 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-4
-	}
-	if o.MaxStride <= 0 {
-		o.MaxStride = 16
-	}
-	if o.ForceStride1 {
-		o.MaxStride = 1
 	}
 	if o.GateWindow <= 0 {
 		o.GateWindow = 1200
@@ -171,10 +159,8 @@ type Model struct {
 	x0p []float64   // initial port values
 	z0  [][]float64 // initial reduced state per component
 
-	// Stride is the gate-validated internal-step stride (internal dt =
-	// Stride·DT); GateErr the measured relative RMS error at that stride;
+	// GateErr is the measured relative RMS error of the accuracy gate;
 	// Order the total reduced internal dimension Σ mᵢ.
-	Stride  int
 	GateErr float64
 	Order   int
 	// MomentErr is the worst normalized transfer-moment mismatch observed
@@ -183,7 +169,6 @@ type Model struct {
 
 	tr      bool
 	beSteps int
-	dt      float64
 
 	steppers steppersCache
 }
@@ -228,7 +213,7 @@ func Reduce(sys *System, opts Options) (*Model, error) {
 	}
 
 	// Reference waveforms are order-independent: compute once, reuse across
-	// every (order, stride) gate attempt.
+	// every order the gate tries.
 	ref, err := newGateRef(sys, opts)
 	if err != nil {
 		return nil, err
@@ -241,20 +226,16 @@ func Reduce(sys *System, opts Options) (*Model, error) {
 			return nil, berr
 		}
 		if m.Order+len(m.Ports) <= int(opts.MaxDimFrac*float64(sys.N)) {
-			stride := maxUsableStride(opts)
-			for ; stride >= 1; stride /= 2 {
-				gerr, moErr, gateErr := ref.compare(m, stride)
-				if gateErr != nil {
-					return nil, gateErr
-				}
-				opts.Report.Record("mor-gate", fmt.Sprintf("order=%d stride=%d", m.Order, stride),
-					diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", gerr), nil)
-				if gerr <= opts.Tol {
-					m.Stride = stride
-					m.GateErr = gerr
-					m.MomentErr = moErr
-					return m, nil
-				}
+			gerr, gateErr := ref.compare(m)
+			if gateErr != nil {
+				return nil, gateErr
+			}
+			opts.Report.Record("mor-gate", fmt.Sprintf("order=%d", m.Order),
+				diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", gerr), nil)
+			if gerr <= opts.Tol {
+				m.GateErr = gerr
+				m.MomentErr = ref.momentError(m)
+				return m, nil
 			}
 		} else {
 			opts.Report.Record("mor-gate", fmt.Sprintf("order=%d", m.Order), diag.OutcomeSkipped,
@@ -414,7 +395,6 @@ func build(sys *System, comps []*component, order int, opts Options) (*Model, er
 		comps:   comps,
 		tr:      opts.TR,
 		beSteps: opts.BESteps,
-		dt:      opts.DT,
 	}
 	// Dense port blocks.
 	m.gpp = extractDense(sys.Pattern, sys.G, sys.Ports, sys.Ports)

@@ -254,53 +254,41 @@ func TestReducedMatchesElementReference(t *testing.T) {
 			if m.GateErr > 1e-4 {
 				t.Fatalf("gate error %g above tolerance", m.GateErr)
 			}
-			t.Logf("order=%d stride=%d gateErr=%.3g momErr=%.3g", m.Order, m.Stride, m.GateErr, m.MomentErr)
+			t.Logf("order=%d gateErr=%.3g momErr=%.3g", m.Order, m.GateErr, m.MomentErr)
 
 			ref := ld.elementReference(dt, steps, tc.beSteps, tc.tr, r, l, c, rdrive, sections)
 
-			// Production reduced run at the gate-validated stride.
+			// Production reduced run on the output grid.
 			run := m.NewRun()
-			k := m.Stride
-			ni := steps / k
-			ts := make([]float64, ni+1)
-			far := make([]float64, ni+1)
-			far[0] = run.PortValues()[1]
+			out := make([]float64, steps+1)
+			out[0] = run.PortValues()[1]
 			up := make([]float64, 2)
-			dtInt := float64(k) * dt
-			stBE, err := m.PrepStepper(dtInt, false)
+			stBE, err := m.PrepStepper(dt, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var stTR *Stepper
 			if tc.tr {
-				if stTR, err = m.PrepStepper(dtInt, true); err != nil {
+				if stTR, err = m.PrepStepper(dt, true); err != nil {
 					t.Fatal(err)
 				}
 			}
 			upPrev := make([]float64, 2)
-			for j := 1; j <= ni; j++ {
-				tt := float64(j*k) * dt
+			for j := 1; j <= steps; j++ {
+				tt := float64(j) * dt
 				st := stBE
 				if m.StepIsTR(j) {
 					st = stTR
 				}
 				up[0], up[1] = -pulse(tt), 0
-				upPrev[0], upPrev[1] = -pulse(float64((j-1)*k)*dt), 0
+				upPrev[0], upPrev[1] = -pulse(float64(j-1)*dt), 0
 				if _, err := run.Advance(st, tt, up, upPrev, nil, NewtonOpts{}); err != nil {
 					t.Fatalf("Advance step %d: %v", j, err)
 				}
-				ts[j] = tt
-				far[j] = run.PortValues()[1]
-			}
-			wOut := ni * k
-			out := make([]float64, wOut+1)
-			if k == 1 {
-				copy(out, far)
-			} else {
-				ResampleHermite(ts, far, dt, out)
+				out[j] = run.PortValues()[1]
 			}
 			var se, sr float64
-			for s := 0; s <= wOut; s++ {
+			for s := 0; s <= steps; s++ {
 				d := ref[s] - out[s]
 				se += d * d
 				sr += ref[s] * ref[s]
@@ -316,22 +304,18 @@ func TestReducedMatchesElementReference(t *testing.T) {
 
 func TestExactAtFullOrder(t *testing.T) {
 	// At order = component dimension the projection is the identity up to
-	// an orthogonal change of basis: gate error should be ~machine epsilon
-	// at stride 1.
+	// an orthogonal change of basis: gate error should be ~machine epsilon.
 	ld := buildLadder(6, 20, 1e-10, 2e-14, 25, pulse, 0)
 	opts := Options{
 		DT: 5e-13, NSteps: 400, TR: true, BESteps: 2,
 		Tol: 1e-4, GateWindow: 300,
 		// MaxDimFrac > 1: at full order the reduced dimension equals N,
 		// which the production no-headroom guard would veto.
-		Order: 64, MaxOrder: 64, ForceStride1: true, MaxDimFrac: 2,
+		Order: 64, MaxOrder: 64, MaxDimFrac: 2,
 	}
 	m, err := Reduce(ld.sys, opts)
 	if err != nil {
 		t.Fatalf("Reduce: %v", err)
-	}
-	if m.Stride != 1 {
-		t.Fatalf("ForceStride1 ignored: stride=%d", m.Stride)
 	}
 	if m.GateErr > 1e-9 {
 		t.Fatalf("full-order projection should be near-exact, gate err %g", m.GateErr)
@@ -376,34 +360,6 @@ func TestArnoldiFaultInjection(t *testing.T) {
 	opts.Injector = diag.FaultAt("mor.gate", 0, errors.New("injected"))
 	if _, err := Reduce(ld.sys, opts); err == nil {
 		t.Fatal("expected injected gate failure")
-	}
-}
-
-func TestResampleHermite(t *testing.T) {
-	// Exactly reproduces cubics at sample points and interpolates a smooth
-	// sine to high accuracy at 4× refinement.
-	k := 4
-	ni := 32
-	dt := 0.1
-	ts := make([]float64, ni+1)
-	ys := make([]float64, ni+1)
-	for j := range ts {
-		ts[j] = float64(j*k) * dt
-		ys[j] = math.Sin(0.3 * ts[j])
-	}
-	out := make([]float64, ni*k+1)
-	ResampleHermite(ts, ys, dt, out)
-	for j := range out {
-		want := math.Sin(0.3 * float64(j) * dt)
-		if math.Abs(out[j]-want) > 2e-4 {
-			t.Fatalf("resample error %g at j=%d", math.Abs(out[j]-want), j)
-		}
-	}
-	// Sample points are reproduced exactly.
-	for j := 0; j <= ni; j++ {
-		if out[j*k] != ys[j] {
-			t.Fatalf("sample point %d not exact: %g vs %g", j, out[j*k], ys[j])
-		}
 	}
 }
 

@@ -72,13 +72,11 @@ type compStepper struct {
 // triangular solves and touches each history matrix once per step.
 // Immutable after construction; safe to share.
 type Stepper struct {
-	alpha    float64
-	dt       float64
-	tr, gate bool
-	comps    []compStepper
-	s        []float64 // p×p Schur complement (unfactored copy, Newton base)
-	slu      lina.LUWS
-	qp       []float64 // p×p: (α·Ĉpp − [tr]App) − Σ Âpz·WB, the v-coefficient of ρ
+	tr    bool
+	comps []compStepper
+	s     []float64 // p×p Schur complement (unfactored copy, Newton base)
+	slu   lina.LUWS
+	qp    []float64 // p×p: (α·Ĉpp − [tr]App) − Σ Âpz·WB, the v-coefficient of ρ
 }
 
 // PrepStepper returns (building and caching on first use) the stepper for
@@ -87,10 +85,9 @@ func (m *Model) PrepStepper(dt float64, tr bool) (*Stepper, error) {
 	return m.prep(dt, tr, false)
 }
 
-// StepIsTR reports whether 1-based internal step i of a run uses the
-// trapezoidal rule (false: backward Euler — either the whole run is BE or
-// i is within the BE startup window). The accuracy gate and the production
-// reduced runner share this schedule.
+// StepIsTR reports whether 1-based step i of a run uses the trapezoidal
+// rule (false: backward Euler — either the whole run is BE or i is within
+// the BE startup window): the schedule the accuracy gate validates.
 func (m *Model) StepIsTR(i int) bool {
 	return m.tr && i > m.beSteps
 }
@@ -112,7 +109,7 @@ func (m *Model) prep(dt float64, tr, gate bool) (*Stepper, error) {
 	if sc.m == nil {
 		sc.m = make(map[stepperKey]*Stepper)
 	}
-	if len(sc.m) >= 32 { // adaptive runs can visit many dt values
+	if len(sc.m) >= 32 {
 		sc.m = make(map[stepperKey]*Stepper)
 	}
 	sc.m[key] = st
@@ -130,7 +127,7 @@ func (m *Model) buildStepper(dt float64, tr, gate bool) (*Stepper, error) {
 		alpha = 2 / dt
 	}
 	p := len(m.Ports)
-	st := &Stepper{alpha: alpha, dt: dt, tr: tr, gate: gate}
+	st := &Stepper{tr: tr}
 	app := m.gpp
 	if gate {
 		app = m.gppGate

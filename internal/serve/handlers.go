@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"time"
 
@@ -349,18 +350,31 @@ func (s *Server) handleCheckWire(w http.ResponseWriter, r *http.Request) {
 
 // sweepPointLine is one NDJSON record of a streamed sweep.
 type sweepPointLine struct {
-	Type       string  `json:"type"` // "point"
-	L          float64 `json:"l"`
-	H          float64 `json:"h"`
-	K          float64 `json:"k"`
-	Tau        float64 `json:"tau"`
-	PerUnit    float64 `json:"per_unit"`
-	LCrit      float64 `json:"lcrit"`
-	HRatio     float64 `json:"h_ratio"`
-	KRatio     float64 `json:"k_ratio"`
-	DelayRatio float64 `json:"delay_ratio"`
-	Penalty    float64 `json:"penalty"`
-	Method     string  `json:"method"`
+	Type       string    `json:"type"` // "point"
+	L          jsonFloat `json:"l"`
+	H          jsonFloat `json:"h"`
+	K          jsonFloat `json:"k"`
+	Tau        jsonFloat `json:"tau"`
+	PerUnit    jsonFloat `json:"per_unit"`
+	LCrit      jsonFloat `json:"lcrit"`
+	HRatio     jsonFloat `json:"h_ratio"`
+	KRatio     jsonFloat `json:"k_ratio"`
+	DelayRatio jsonFloat `json:"delay_ratio"`
+	Penalty    jsonFloat `json:"penalty"`
+	Method     string    `json:"method"`
+}
+
+// jsonFloat is a float64 that encodes NaN and ±Inf as JSON null, which
+// encoding/json would otherwise refuse mid-stream (a sweep point's Penalty
+// is +Inf when the delay at the RC-optimal sizing fails to evaluate);
+// finite values encode exactly as float64 does.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(f))
 }
 
 // handleSweep streams the Section 3 study as NDJSON: one "point" record per
@@ -418,10 +432,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				var body []byte
 				for _, pt := range pts {
 					line, err := json.Marshal(sweepPointLine{
-						Type: "point", L: pt.L,
-						H: pt.Opt.H, K: pt.Opt.K, Tau: pt.Opt.Tau, PerUnit: pt.Opt.PerUnit,
-						LCrit: pt.LCrit, HRatio: pt.HRatio, KRatio: pt.KRatio,
-						DelayRatio: pt.DelayRatio, Penalty: pt.Penalty,
+						Type: "point", L: jsonFloat(pt.L),
+						H: jsonFloat(pt.Opt.H), K: jsonFloat(pt.Opt.K), Tau: jsonFloat(pt.Opt.Tau), PerUnit: jsonFloat(pt.Opt.PerUnit),
+						LCrit: jsonFloat(pt.LCrit), HRatio: jsonFloat(pt.HRatio), KRatio: jsonFloat(pt.KRatio),
+						DelayRatio: jsonFloat(pt.DelayRatio), Penalty: jsonFloat(pt.Penalty),
 						Method: string(pt.Opt.Method),
 					})
 					if err != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -232,8 +233,32 @@ func TestSweepStreamsNDJSONAndCaches(t *testing.T) {
 	if err := json.Unmarshal(firstLine, &first); err != nil {
 		t.Fatal(err)
 	}
-	if first.H != pts[0].Opt.H || first.PerUnit != pts[0].Opt.PerUnit {
+	if float64(first.H) != pts[0].Opt.H || float64(first.PerUnit) != pts[0].Opt.PerUnit {
 		t.Errorf("served sweep point differs from engine: h=%g vs %g", first.H, pts[0].Opt.H)
+	}
+}
+
+// TestSweepPointNonFiniteIsNull pins the NDJSON encoding of a sweep
+// point: non-finite fields encode as null instead of failing the stream,
+// and finite fields encode exactly as plain float64 values do.
+func TestSweepPointNonFiniteIsNull(t *testing.T) {
+	finite := map[string]float64{"l": 1e-6, "h": 0.123456789, "tau": 1.5e-11}
+	line, err := json.Marshal(sweepPointLine{
+		Type: "point", L: jsonFloat(finite["l"]), H: jsonFloat(finite["h"]), Tau: jsonFloat(finite["tau"]),
+		Penalty: jsonFloat(math.Inf(1)), DelayRatio: jsonFloat(math.NaN()), KRatio: jsonFloat(math.Inf(-1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`"penalty":null`, `"delay_ratio":null`, `"k_ratio":null`}
+	for name, v := range finite {
+		num, _ := json.Marshal(v)
+		want = append(want, fmt.Sprintf(`"%s":%s`, name, num))
+	}
+	for _, w := range want {
+		if !bytes.Contains(line, []byte(w)) {
+			t.Errorf("encoded point %s lacks %s", line, w)
+		}
 	}
 }
 

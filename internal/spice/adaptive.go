@@ -29,19 +29,40 @@ type AdaptiveOpts struct {
 	Limits runctl.Limits
 	// NoFastPath disables the sparse-kernel fast path (see TranOpts).
 	NoFastPath bool
-	// NoReduction disables the Krylov reduced-order fast path (see
-	// TranOpts.NoReduction). Adaptive runs only take the reduced path for
-	// fully linear circuits; with NoReduction set the run is bit-identical
-	// to the pre-reduction adaptive solver.
-	NoReduction bool
-	// Report, when non-nil, collects recovery-ladder attempts and
-	// reduced-path decisions for this run (see TranOpts.Report).
+	// Report, when non-nil, collects the recovery-ladder attempts of the
+	// run (see TranOpts.Report).
 	Report *diag.Report
 }
 
-func (o AdaptiveOpts) withDefaults() (AdaptiveOpts, error) {
+// Validate rejects option sets whose window, steps, tolerances or budgets
+// are non-finite or negative, the way TranOpts.Validate does; TStop must be
+// positive. Zero fields still mean "default".
+func (o AdaptiveOpts) Validate() error {
+	names := []string{"TStop", "DTInit", "DTMin", "DTMax", "LTETol", "ITol", "Gmin"}
+	vals := []float64{o.TStop, o.DTInit, o.DTMin, o.DTMax, o.LTETol, o.ITol, o.Gmin}
+	if err := diag.CheckFinite("spice.AdaptiveOpts", names, vals); err != nil {
+		return err
+	}
 	if o.TStop <= 0 {
-		return o, fmt.Errorf("spice: adaptive transient needs TStop > 0")
+		return diag.Domainf("spice.AdaptiveOpts", "TStop=%g must be positive", o.TStop)
+	}
+	for i, v := range vals {
+		if v < 0 {
+			return diag.Domainf("spice.AdaptiveOpts", "%s=%g must be non-negative", names[i], v)
+		}
+	}
+	if o.MaxNewton < 0 {
+		return diag.Domainf("spice.AdaptiveOpts", "negative budget MaxNewton=%d", o.MaxNewton)
+	}
+	if o.Limits.Timeout < 0 || o.Limits.MaxIters < 0 {
+		return diag.Domainf("spice.AdaptiveOpts", "negative run limits Timeout=%v MaxIters=%d", o.Limits.Timeout, o.Limits.MaxIters)
+	}
+	return nil
+}
+
+func (o AdaptiveOpts) withDefaults() (AdaptiveOpts, error) {
+	if err := o.Validate(); err != nil {
+		return o, err
 	}
 	if o.DTInit == 0 {
 		o.DTInit = o.TStop / 1000
@@ -51,6 +72,9 @@ func (o AdaptiveOpts) withDefaults() (AdaptiveOpts, error) {
 	}
 	if o.DTMax == 0 {
 		o.DTMax = o.TStop / 50
+	}
+	if o.DTMin > o.DTMax {
+		return o, diag.Domainf("spice.AdaptiveOpts", "DTMin=%g exceeds DTMax=%g", o.DTMin, o.DTMax)
 	}
 	if o.DTInit > o.DTMax {
 		o.DTInit = o.DTMax
@@ -83,7 +107,9 @@ func (c *Circuit) TransientAdaptive(opts AdaptiveOpts, probes ...Probe) (*Result
 // TransientAdaptiveCtx is TransientAdaptive under run control: ctx
 // cancellation and opts.Limits are checked at every Newton iteration, and a
 // stopped run returns the waveform accumulated so far with Partial set
-// alongside the typed stop error.
+// alongside the typed stop error. A step that keeps failing until it falls
+// below DTMin returns diag.ErrTimestepCollapse under the same
+// partial-result contract.
 func (c *Circuit) TransientAdaptiveCtx(ctx context.Context, opts AdaptiveOpts, probes ...Probe) (res *Result, err error) {
 	defer diag.RecoverTo(&err, "spice.TransientAdaptive")
 	if err := c.Validate(); err != nil {
@@ -93,58 +119,20 @@ func (c *Circuit) TransientAdaptiveCtx(ctx context.Context, opts AdaptiveOpts, p
 	if err != nil {
 		return nil, err
 	}
-	ctl := runctl.New(ctx, opts.Limits)
 	tran := TranOpts{
-		TStop: opts.TStop, DT: opts.DTInit, MaxNewton: opts.MaxNewton,
+		TStop: opts.TStop, DT: opts.TStop, UseICs: opts.UseICs, MaxNewton: opts.MaxNewton,
 		ITol: opts.ITol, Gmin: opts.Gmin, NoFastPath: opts.NoFastPath,
 		Report: opts.Report,
 	}
 	tran, _ = tran.withDefaults()
-	tran.ctl = ctl
+	tran.ctl = runctl.New(ctx, opts.Limits)
 
 	ns := newNewtonState(c)
-	if opts.UseICs {
-		for id, v := range c.ics {
-			ns.x[id] = v
-		}
-	} else {
-		x0, err := c.dcOperatingPoint(ctl, DCOpts{NoFastPath: opts.NoFastPath})
-		if err != nil {
-			if runctl.IsStop(err) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("spice: adaptive initial point: %w", err)
-		}
-		copy(ns.x, x0)
+	if err := c.initialState(tran, ns.x); err != nil {
+		return nil, fmt.Errorf("spice: adaptive initial point: %w", err)
 	}
-	copy(ns.xPrev, ns.x)
-
-	res = &Result{Signals: make([][]float64, len(probes)), Labels: make([]string, len(probes))}
-	for i, p := range probes {
-		res.Labels[i] = p.Label()
-	}
-	record := func(t float64) {
-		res.T = append(res.T, t)
-		for i, p := range probes {
-			res.Signals[i] = append(res.Signals[i], p.sample(ns.x, ns.nNodes))
-		}
-	}
-	record(0)
-
-	// Krylov reduced-order fast path: linear circuits step a dense q-by-q
-	// recursion under the same LTE controller. A bail-out reruns the full
-	// loop from t=0 (the reduced attempt leaves only the t=0 sample behind).
-	if rr := c.tryReduceAdaptive(opts, tran, ns.x, probes); rr != nil {
-		out, lerr, bailed := c.reducedAdaptiveLoop(opts, tran, rr, res, probes)
-		if !bailed {
-			return out, lerr
-		}
-		morStatFallback.Add(1)
-		res.T = res.T[:1]
-		for i := range res.Signals {
-			res.Signals[i] = res.Signals[i][:1]
-		}
-	}
+	full := &fullStep{c: c, ns: ns, opts: tran, probes: probes}
+	res = newResult(nil, probes, 0, full)
 
 	// History for the quadratic predictor: last two accepted solutions and
 	// their times (the current xPrev is the third point).
@@ -163,10 +151,10 @@ func (c *Circuit) TransientAdaptiveCtx(ctx context.Context, opts AdaptiveOpts, p
 			dt = opts.TStop - t
 		}
 		trap := beSteps <= 0
-		ld := &loader{t: t + dt, dt: dt, trap: trap, gmin: tran.Gmin}
-		copy(ns.xPrev, ns.x)
-		if _, err := ns.solveNewton(ld, tran); err != nil {
-			copy(ns.x, ns.xPrev)
+		tn := t + dt
+		// The adaptive run has no output grid: every solve carries step 0,
+		// so the fast path's symbolic refresh schedule never fires mid-run.
+		if err := full.solve(t, dt, 0, trap); err != nil {
 			if runctl.IsStop(err) {
 				// A run-control stop is terminal, not a convergence failure:
 				// never retry it with a smaller step.
@@ -179,22 +167,23 @@ func (c *Circuit) TransientAdaptiveCtx(ctx context.Context, opts AdaptiveOpts, p
 				return res, err
 			}
 			fails++
-			if fails > 30 {
-				return res, fmt.Errorf("spice: adaptive step collapsed at t=%g: %w", t, err)
-			}
 			dt /= 2
-			if dt < opts.DTMin {
-				return res, fmt.Errorf("spice: adaptive step below DTMin at t=%g: %w", t, err)
+			if fails > 30 || dt < opts.DTMin {
+				res.Partial = true
+				res.PartialT = t
+				de := diag.New(diag.ErrTimestepCollapse, "spice.TransientAdaptive")
+				de.Time = t
+				de.Detail = fmt.Sprintf("dt=%g after %d failed attempts (DTMin=%g)", dt, fails, opts.DTMin)
+				de.Err = err
+				return res, de
 			}
 			continue
 		}
 		fails = 0
 		// LTE estimate once enough history exists.
-		accepted := true
 		if havePts >= 2 && trap {
 			// Quadratic extrapolation through (t2,hist2), (t1,hist1),
 			// (t,xPrev) evaluated at t+dt.
-			tn := t + dt
 			l2 := (tn - t1) * (tn - t) / ((t2 - t1) * (t2 - t))
 			l1 := (tn - t2) * (tn - t) / ((t1 - t2) * (t1 - t))
 			l0 := (tn - t2) * (tn - t1) / ((t - t2) * (t - t1))
@@ -215,26 +204,20 @@ func (c *Circuit) TransientAdaptiveCtx(ctx context.Context, opts AdaptiveOpts, p
 			ratio = math.Min(math.Max(ratio, 0.3), 2)
 			dt = math.Min(math.Max(dt*ratio, opts.DTMin), opts.DTMax)
 		}
-		if accepted {
-			ldAcc := *ld
-			ldAcc.x = ns.x
-			ldAcc.xPrev = ns.xPrev
-			for _, e := range c.elems {
-				e.accept(&ldAcc)
-			}
-			// Shift history.
-			t2, t1 = t1, t
-			copy(hist2, hist1)
-			copy(hist1, ns.xPrev)
-			if havePts < 2 {
-				havePts++
-			}
-			t = ld.t
-			if beSteps > 0 {
-				beSteps--
-			}
-			record(t)
+		full.commit()
+		// Shift history.
+		t2, t1 = t1, t
+		copy(hist2, hist1)
+		copy(hist1, ns.xPrev)
+		if havePts < 2 {
+			havePts++
 		}
+		t = tn
+		if beSteps > 0 {
+			beSteps--
+		}
+		res.T = append(res.T, t)
+		full.sample(res.Signals)
 	}
 	return res, nil
 }

@@ -1,8 +1,11 @@
 package spice
 
 import (
+	"errors"
 	"math"
 	"testing"
+
+	"rlcint/internal/diag"
 )
 
 func rcCircuit() (*Circuit, NodeID) {
@@ -93,10 +96,47 @@ func TestAdaptiveOscillatorTracksRinging(t *testing.T) {
 
 func TestAdaptiveValidation(t *testing.T) {
 	c, _ := rcCircuit()
-	if _, err := c.TransientAdaptive(AdaptiveOpts{TStop: -1}); err == nil {
-		t.Error("negative TStop must fail")
+	for _, o := range []AdaptiveOpts{
+		{TStop: -1},
+		{TStop: 0},
+		{TStop: math.NaN()},
+		{TStop: math.Inf(1)},
+		{TStop: 1, DTMin: -1e-9},
+		{TStop: 1, DTInit: math.NaN()},
+		{TStop: 1, LTETol: -1e-4},
+		{TStop: 1, MaxNewton: -1},
+		{TStop: 1, DTMin: 0.5, DTMax: 0.1},
+	} {
+		if _, err := c.TransientAdaptive(o, c.ProbeNode("out")); !errors.Is(err, diag.ErrDomain) {
+			t.Errorf("%+v: got %v, want ErrDomain", o, err)
+		}
 	}
 	if _, err := New().TransientAdaptive(AdaptiveOpts{TStop: 1}); err == nil {
 		t.Error("empty circuit must fail")
+	}
+
+	// Step collapse: one Newton iteration per step converges only while the
+	// circuit sits at its steady state, so the run advances to the source
+	// edge, then halves the step below DTMin and must return a typed
+	// collapse alongside the waveform recorded so far.
+	c = New()
+	in, out := c.Node("in"), c.Node("out")
+	c.AddV(in, Ground, Pulse{V0: 1, V1: 0, Delay: 2, Rise: 0.1, Width: 10, Fall: 0.1})
+	c.AddR(in, out, 1)
+	c.AddC(out, Ground, 1)
+	c.SetIC(in, 1)
+	c.SetIC(out, 1)
+	res, err := c.TransientAdaptive(AdaptiveOpts{TStop: 5, UseICs: true, MaxNewton: 1}, c.ProbeNode("out"))
+	if !errors.Is(err, diag.ErrTimestepCollapse) {
+		t.Fatalf("got %v, want ErrTimestepCollapse", err)
+	}
+	if res == nil || !res.Partial {
+		t.Fatal("collapsed run must return a partial result")
+	}
+	if res.PartialT <= 0 || res.PartialT > 2.1 {
+		t.Errorf("PartialT = %v, want the source edge near t=2", res.PartialT)
+	}
+	if last := res.T[len(res.T)-1]; len(res.T) < 2 || last != res.PartialT {
+		t.Errorf("recorded %d samples ending at t=%v, want samples up to PartialT=%v", len(res.T), last, res.PartialT)
 	}
 }

@@ -45,76 +45,34 @@ func benchLadder(b *testing.B) *Circuit {
 // unit of work the sparse-kernel fast path optimizes. Steady-state steps
 // must report 0 B/op (pinned by TestTransientStepAllocFree).
 func BenchmarkTransientStep(b *testing.B) {
-	b.ReportAllocs()
-	c := benchLadder(b)
-	opts, err := TranOpts{TStop: 1e-9, DT: 5e-12}.withDefaults()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ns := newNewtonState(c)
-	x0, err := c.DCOperatingPointWith(DCOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	copy(ns.x, x0)
-	copy(ns.xPrev, ns.x)
-	step := 1
-	tNow := 0.0
-	runStep := func() {
-		ld := &ns.ld
-		*ld = loader{t: tNow + opts.DT, dt: opts.DT, trap: true, gmin: opts.Gmin, op: "tran-tr", step: step}
-		copy(ns.xPrev, ns.x)
-		if _, err := ns.solveNewton(ld, opts); err != nil {
-			b.Fatalf("step %d: %v", step, err)
-		}
-		ld.x = ns.x
-		ld.xPrev = ns.xPrev
-		for _, e := range c.elems {
-			e.accept(ld)
-		}
-		tNow += opts.DT
-		step++
-	}
-	for i := 0; i < 8; i++ {
-		runStep()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runStep()
-	}
+	benchTransientStep(b, false)
 }
 
 // BenchmarkTransientStepLegacy is BenchmarkTransientStep with the fast path
 // disabled, so the pair quantifies the per-step speedup directly.
 func BenchmarkTransientStepLegacy(b *testing.B) {
+	benchTransientStep(b, true)
+}
+
+func benchTransientStep(b *testing.B, noFastPath bool) {
 	b.ReportAllocs()
 	c := benchLadder(b)
-	opts, err := TranOpts{TStop: 1e-9, DT: 5e-12, NoFastPath: true}.withDefaults()
+	opts, err := TranOpts{TStop: 1e-9, DT: 5e-12, NoFastPath: noFastPath}.withDefaults()
 	if err != nil {
 		b.Fatal(err)
 	}
 	ns := newNewtonState(c)
-	x0, err := c.DCOperatingPointWith(DCOpts{NoFastPath: true})
+	x0, err := c.DCOperatingPointWith(DCOpts{NoFastPath: noFastPath})
 	if err != nil {
 		b.Fatal(err)
 	}
 	copy(ns.x, x0)
-	copy(ns.xPrev, ns.x)
+	st := &fullStep{c: c, ns: ns, opts: opts}
 	step := 1
-	tNow := 0.0
 	runStep := func() {
-		ld := &ns.ld
-		*ld = loader{t: tNow + opts.DT, dt: opts.DT, trap: true, gmin: opts.Gmin, op: "tran-tr", step: step}
-		copy(ns.xPrev, ns.x)
-		if _, err := ns.solveNewton(ld, opts); err != nil {
+		if err := st.advance(float64(step-1)*opts.DT, opts.DT, step, true); err != nil {
 			b.Fatalf("step %d: %v", step, err)
 		}
-		ld.x = ns.x
-		ld.xPrev = ns.xPrev
-		for _, e := range c.elems {
-			e.accept(ld)
-		}
-		tNow += opts.DT
 		step++
 	}
 	for i := 0; i < 8; i++ {

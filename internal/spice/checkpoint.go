@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -95,25 +94,25 @@ func (c *Circuit) restoreCapStates(v []float64) error {
 	return nil
 }
 
-// writeCheckpoint snapshots the run at the current grid boundary and writes
-// it atomically (temp file in the same directory, fsync, rename) so a kill
-// mid-write leaves the previous checkpoint intact.
-func (c *Circuit) writeCheckpoint(opts TranOpts, step, beSteps int, ns *newtonState, res *Result) error {
+// writeCheckpoint snapshots the run at the current grid boundary, with st
+// supplying the solver state, and writes it atomically (temp file in the
+// same directory, fsync, rename) so a kill mid-write leaves the previous
+// checkpoint intact.
+func (c *Circuit) writeCheckpoint(opts TranOpts, step, beSteps int, st stepper, res *Result) error {
 	cp := &Checkpoint{
 		Version:   checkpointVersion,
 		TStop:     opts.TStop,
 		DT:        opts.DT,
 		Method:    int(opts.Method),
-		NUnknowns: ns.n,
-		NCaps:     len(c.capStates()),
+		NUnknowns: c.NumUnknowns(),
 		Step:      step,
 		BESteps:   beSteps,
-		X:         ns.x,
-		CapI:      c.capStates(),
 		T:         res.T,
 		Labels:    res.Labels,
 		Signals:   res.Signals,
 	}
+	st.snapshot(cp)
+	cp.NCaps = len(cp.CapI)
 	return cp.WriteFile(opts.CheckpointPath)
 }
 
@@ -212,14 +211,13 @@ func (c *Circuit) TransientResumeCtx(ctx context.Context, cp *Checkpoint, opts T
 
 	ns := newNewtonState(c)
 	copy(ns.x, cp.X)
-	copy(ns.xPrev, cp.X)
 	if err := c.restoreCapStates(cp.CapI); err != nil {
 		return nil, err
 	}
 
 	// Rebuild the Result from the checkpoint, copying so the caller's
 	// Checkpoint stays immutable while the run appends.
-	nSteps := int(math.Ceil(opts.TStop/opts.DT + 1e-9))
+	nSteps := opts.gridSteps()
 	res = &Result{
 		T:       append(make([]float64, 0, nSteps+1), cp.T...),
 		Signals: make([][]float64, len(cp.Signals)),
@@ -232,6 +230,11 @@ func (c *Circuit) TransientResumeCtx(ctx context.Context, cp *Checkpoint, opts T
 		return res, nil // the checkpoint already covers the full window
 	}
 	opts.ctl = runctl.New(ctx, opts.Limits)
+	defer func() {
+		if res != nil {
+			res.Factor = ns.factorStats()
+		}
+	}()
 
 	if cp.MOR != nil {
 		if opts.NoReduction || opts.NoFastPath {
@@ -249,35 +252,22 @@ func (c *Circuit) TransientResumeCtx(ctx context.Context, cp *Checkpoint, opts T
 		opts.Report.Record("mor", "resume-fallback", diag.OutcomeSkipped,
 			"continuing a reduced checkpoint with the full solver", nil)
 	}
-	return c.transientLoop(opts, ns, res, probes, cp.Step+1, cp.BESteps)
+	return c.march(opts, &fullStep{c: c, ns: ns, opts: opts, probes: probes}, res, cp.Step+1, nSteps, cp.BESteps)
 }
 
 // resumeReduced rebuilds the reduced model for a MOR checkpoint, verifies
 // the content fingerprint, restores the reduced state, and continues the
-// stride-1 reduced loop. resumed=false means the caller should fall back to
-// the full solver.
+// reduced run. resumed=false means the caller should fall back to the full
+// solver.
 func (c *Circuit) resumeReduced(opts TranOpts, cp *Checkpoint, res *Result, probes []Probe, nSteps int) (*Result, error, bool) {
 	// The model was built from the run's INITIAL state, not the checkpoint
 	// state — reconstruct it exactly as TransientCtx did (both paths are
 	// deterministic, so the rebuilt model matches the original bit for bit).
 	x0 := make([]float64, c.NumUnknowns())
-	if opts.UseICs {
-		for id, v := range c.ics {
-			x0[id] = v
-		}
-	} else {
-		x, err := c.dcOperatingPoint(opts.ctl, DCOpts{Injector: opts.Injector, Report: opts.Report, NoFastPath: opts.NoFastPath})
-		if err != nil {
-			return nil, nil, false
-		}
-		copy(x0, x)
+	if err := c.initialState(opts, x0); err != nil {
+		return nil, nil, false
 	}
-	beSteps := 2
-	if opts.NoBEStart {
-		beSteps = 0
-	}
-	opts.resumeStride1 = true
-	rr, rerr := c.tryReduce(opts, x0, probes, nSteps, beSteps)
+	rr, rerr := c.tryReduce(opts, x0, probes, nSteps, opts.beStart())
 	if rerr != nil {
 		res.Partial = true
 		return res, rerr, true
@@ -294,16 +284,6 @@ func (c *Circuit) resumeReduced(opts TranOpts, cp *Checkpoint, res *Result, prob
 	if err := run.RestoreState(mor.RunState{T: cp.MOR.T, V: cp.MOR.V, Z: cp.MOR.Z}); err != nil {
 		return nil, nil, false
 	}
-	out, lerr, bailed := c.reducedLoopRun(opts, rr, run, res, probes, nSteps, cp.Step+1, beSteps)
-	if bailed {
-		morStatFallback.Add(1)
-		// Drop any samples the reduced continuation recorded before bailing
-		// so the full-solver fallback appends from the boundary.
-		res.T = res.T[:cp.Step+1]
-		for i := range res.Signals {
-			res.Signals[i] = res.Signals[i][:cp.Step+1]
-		}
-		return nil, nil, false
-	}
-	return out, lerr, true
+	out, err, bailed := c.runReduced(opts, rr, run, res, cp.Step+1, nSteps, cp.BESteps)
+	return out, err, !bailed
 }

@@ -262,10 +262,7 @@ func TestFastPathRestartBitExact(t *testing.T) {
 func TestFastPathAdaptiveLinearBitExact(t *testing.T) {
 	cFast, pFast := randLadder(t, 17, false)
 	cSlow, pSlow := randLadder(t, 17, false)
-	// Pin NoReduction: this test checks the sparse-kernel bypass bit-for-bit
-	// against legacy assembly; the Krylov reduction is tolerance-accurate,
-	// not bit-exact, and has its own tests in reduce_test.go.
-	aOpts := AdaptiveOpts{TStop: 1e-9, ITol: 1e-12, NoReduction: true}
+	aOpts := AdaptiveOpts{TStop: 1e-9, ITol: 1e-12}
 	fast, err := cFast.TransientAdaptive(aOpts, pFast...)
 	if err != nil {
 		t.Fatalf("fast: %v", err)
@@ -281,9 +278,9 @@ func TestFastPathAdaptiveLinearBitExact(t *testing.T) {
 }
 
 // TestTransientStepAllocFree drives a warmed-up nonlinear solver through
-// steady-state sub-steps and requires them to allocate nothing: the fast
-// path's point is that the per-step hot loop touches only preallocated
-// state.
+// steady-state production full steps and requires them to allocate
+// nothing: the fast path's point is that the per-step hot loop touches only
+// preallocated state.
 func TestTransientStepAllocFree(t *testing.T) {
 	c, _ := randLadder(t, 19, true)
 	opts, err := TranOpts{TStop: 1e-9, DT: 5e-12}.withDefaults()
@@ -296,28 +293,26 @@ func TestTransientStepAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(ns.x, x0)
-	copy(ns.xPrev, ns.x)
+	var st stepper = &fullStep{c: c, ns: ns, opts: opts}
+	requireStepsAllocFree(t, st, opts.DT)
+}
+
+// requireStepsAllocFree warms st up (freezing patterns, sizing every
+// buffer) and then requires steady-state trapezoidal steps through the
+// stepper interface to allocate nothing.
+func requireStepsAllocFree(t *testing.T, st stepper, dt float64) {
+	t.Helper()
 	step := 1
-	tNow := 0.0
 	runStep := func() {
-		ld := &ns.ld
-		*ld = loader{t: tNow + opts.DT, dt: opts.DT, trap: true, gmin: opts.Gmin, op: "tran-tr", step: step}
-		copy(ns.xPrev, ns.x)
-		if _, err := ns.solveNewton(ld, opts); err != nil {
+		if err := st.advance(float64(step-1)*dt, dt, step, step > 2); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		ld.x = ns.x
-		ld.xPrev = ns.xPrev
-		for _, e := range c.elems {
-			e.accept(ld)
-		}
-		tNow += opts.DT
 		step++
 	}
-	for i := 0; i < 8; i++ { // warm-up: freeze pattern, size every buffer
+	for i := 0; i < 8; i++ {
 		runStep()
 	}
 	if allocs := testing.AllocsPerRun(20, runStep); allocs != 0 {
-		t.Errorf("steady-state transient step allocates %.0f objects/op, want 0", allocs)
+		t.Errorf("steady-state %T step allocates %.0f objects/op, want 0", st, allocs)
 	}
 }

@@ -30,16 +30,17 @@ package spice
 //     repeated runs of the same circuit — benchmark iterations, parameter
 //     sweeps revisiting a configuration — skip the build entirely.
 //     Rejections are cached too.
-//  5. reducedLoop replaces transientLoop: it marches the reduced system at
-//     the gate-validated internal stride, solves the p-dimensional Newton
-//     port system per step (p = a few dozen ≪ N), resamples onto the output
-//     grid, and bails out to the full solver from t = 0 on any error.
+//  5. reducedStep replaces the full Newton step in the fixed-grid loop
+//     (march): it advances the reduced system one output step at a time,
+//     solves the p-dimensional Newton port system per step (p = a few
+//     dozen ≪ N), and bails out to the full solver from t = 0 on any error.
 //
-// TranOpts.NoReduction (and AdaptiveOpts.NoReduction) disable the whole
-// path; runs with NoFastPath set skip it too, since that flag promises the
-// legacy solver's bit-exact arithmetic.
+// TranOpts.NoReduction disables the whole path; runs with NoFastPath set
+// skip it too, since that flag promises the legacy solver's bit-exact
+// arithmetic. Adaptive runs always use the full solver.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -451,9 +452,7 @@ func (ex *extracted) fingerprint(opts mor.Options, tstop float64) uint64 {
 		h.word(1)
 	}
 	h.word(uint64(opts.BESteps))
-	if opts.ForceStride1 {
-		h.word(1 << 8)
-	}
+	h.word(1 << 8) // format marker; keeps the fingerprints in existing checkpoint files valid
 	h.float(opts.Tol)
 	up := make([]float64, len(sys.Ports))
 	for s := 0; s <= 64; s++ {
@@ -465,11 +464,12 @@ func (ex *extracted) fingerprint(opts mor.Options, tstop float64) uint64 {
 
 // --- reduced transient run ---
 
-// reducedRun is everything the reduced fixed-grid loop needs.
+// reducedRun is a validated reduced model with the per-run pieces its
+// steps need.
 type reducedRun struct {
 	model  *mor.Model
 	ex     *extracted
-	pe     *nlPortEval // nil for linear circuits
+	pe     mor.PortEval // nil for linear circuits
 	newton mor.NewtonOpts
 	fp     uint64
 }
@@ -503,83 +503,30 @@ func (c *Circuit) tryReduce(opts TranOpts, x0 []float64, probes []Probe, nSteps,
 		return nil, nil
 	}
 	mopts := mor.Options{
-		DT:           opts.DT,
-		NSteps:       nSteps,
-		TR:           tr,
-		BESteps:      beSteps,
-		Tol:          reduceTol,
-		ForceStride1: opts.CheckpointPath != "" || opts.resumeStride1,
-		Injector:     opts.Injector,
-		Report:       opts.Report,
+		DT:       opts.DT,
+		NSteps:   nSteps,
+		TR:       tr,
+		BESteps:  beSteps,
+		Tol:      reduceTol,
+		Injector: opts.Injector,
+		Report:   opts.Report,
 	}
 	fp := ex.fingerprint(mopts, opts.TStop)
-	if e, ok := morCacheGet(fp); ok {
+	var model *mor.Model
+	e, cached := morCacheGet(fp)
+	if cached {
 		if e.model == nil {
 			return nil, nil
 		}
-		rr := c.finishReduce(e.model, ex, fp, opts)
-		if rr != nil {
-			morStatEngaged.Add(1)
-			morStatCacheHits.Add(1)
-			opts.Report.Record("mor", "accept", diag.OutcomeOK, acceptDetail(e.model, true), nil)
-		}
-		return rr, nil
-	}
-	model, rerr := mor.Reduce(ex.sys, mopts)
-	if rerr != nil {
+		model = e.model
+	} else if model, err = mor.Reduce(ex.sys, mopts); err != nil {
 		morStatRejected.Add(1)
-		opts.Report.Record("mor", "reduce", diag.OutcomeSkipped, rerr.Error(), nil)
-		if !runctl.IsStop(rerr) {
+		opts.Report.Record("mor", "reduce", diag.OutcomeSkipped, err.Error(), nil)
+		if !runctl.IsStop(err) {
 			morCachePut(fp, &morCacheEntry{})
 		}
 		return nil, nil
 	}
-	rr := c.finishReduce(model, ex, fp, opts)
-	if rr == nil {
-		return nil, nil
-	}
-	// Large-signal confirmation for nonlinear circuits: the linearized gate
-	// cannot see rail-to-rail behaviour.
-	if rr.pe != nil {
-		cerr, err := c.confirmReduced(rr, opts, nSteps, beSteps)
-		if err != nil {
-			if runctl.IsStop(err) {
-				return nil, err
-			}
-			morStatRejected.Add(1)
-			opts.Report.Record("mor", "confirm", diag.OutcomeSkipped, err.Error(), nil)
-			morCachePut(fp, &morCacheEntry{})
-			return nil, nil
-		}
-		if cerr > confirmFactor*reduceTol {
-			morStatRejected.Add(1)
-			opts.Report.Record("mor", "confirm", diag.OutcomeFailed,
-				fmt.Sprintf("large-signal relerr=%.3g above %g", cerr, confirmFactor*reduceTol), nil)
-			morCachePut(fp, &morCacheEntry{})
-			return nil, nil
-		}
-		opts.Report.Record("mor", "confirm", diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", cerr), nil)
-	}
-	morCachePut(fp, &morCacheEntry{model: model})
-	morStatEngaged.Add(1)
-	opts.Report.Record("mor", "accept", diag.OutcomeOK, acceptDetail(model, false), nil)
-	return rr, nil
-}
-
-// acceptDetail summarizes an accepted reduced model for the diag report.
-func acceptDetail(m *mor.Model, cached bool) string {
-	s := fmt.Sprintf("order=%d comps=%v ports=%d stride=%d gate=%.3g",
-		m.TotalOrder(), m.ComponentDims(), m.NumPorts(), m.Stride, m.GateErr)
-	if cached {
-		s += " (cached)"
-	}
-	return s
-}
-
-// finishReduce assembles the per-run pieces around a validated model; a nil
-// return means the port-device adapter could not be built and the caller
-// must fall back.
-func (c *Circuit) finishReduce(model *mor.Model, ex *extracted, fp uint64, opts TranOpts) *reducedRun {
 	rr := &reducedRun{
 		model: model,
 		ex:    ex,
@@ -592,612 +539,227 @@ func (c *Circuit) finishReduce(model *mor.Model, ex *extracted, fp uint64, opts 
 			MaxStep:   opts.MaxStep,
 		},
 	}
-	if len(ex.cl.nlIdx) > 0 {
-		pe, err := newNLPortEval(c, ex.cl, c.NumUnknowns())
+	if len(cl.nlIdx) > 0 {
+		pe, err := newNLPortEval(c, cl, c.NumUnknowns())
 		if err != nil {
 			opts.Report.Record("mor", "porteval", diag.OutcomeSkipped, err.Error(), nil)
-			return nil
+			return nil, nil
 		}
 		rr.pe = pe
 	}
-	return rr
-}
-
-// confirmReduced steps a window of the run with BOTH the real full solver
-// and the reduced model and returns the worst per-port relative RMS error.
-// Full-solver element state (capacitor histories) is restored afterwards, so
-// the production run starts clean either way.
-func (c *Circuit) confirmReduced(rr *reducedRun, opts TranOpts, nSteps, beSteps int) (float64, error) {
-	w := nSteps
-	if w > confirmWindow {
-		w = confirmWindow
-	}
-	stride := rr.model.Stride
-	if ni := w / stride; ni < 8 {
-		w = 8 * stride
-		if w > nSteps {
-			w = nSteps
-			stride = 1
+	// Large-signal confirmation for nonlinear circuits (a cached model passed
+	// it when it was built): the linearized gate cannot see rail-to-rail
+	// behaviour.
+	if !cached && rr.pe != nil {
+		cerr, err := c.confirmReduced(rr, opts, nSteps, beSteps)
+		if runctl.IsStop(err) {
+			return nil, err
+		}
+		outcome, detail := diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", cerr)
+		if err != nil {
+			outcome, detail = diag.OutcomeSkipped, err.Error()
+		} else if cerr > confirmFactor*reduceTol {
+			outcome = diag.OutcomeFailed
+			detail = fmt.Sprintf("large-signal relerr=%.3g above %g", cerr, confirmFactor*reduceTol)
+		}
+		opts.Report.Record("mor", "confirm", outcome, detail, nil)
+		if outcome != diag.OutcomeOK {
+			morStatRejected.Add(1)
+			morCachePut(fp, &morCacheEntry{})
+			return nil, nil
 		}
 	}
-	ni := w / stride
-	w = ni * stride
-	ports := rr.ex.cl.ports
-	p := len(ports)
+	morStatEngaged.Add(1)
+	detail := fmt.Sprintf("order=%d comps=%v ports=%d gate=%.3g",
+		model.TotalOrder(), model.ComponentDims(), model.NumPorts(), model.GateErr)
+	if cached {
+		morStatCacheHits.Add(1)
+		detail += " (cached)"
+	} else {
+		morCachePut(fp, &morCacheEntry{model: model})
+	}
+	opts.Report.Record("mor", "accept", diag.OutcomeOK, detail, nil)
+	return rr, nil
+}
 
-	// Full-solver reference. A dedicated newtonState keeps the production
-	// solver untouched; capacitor companion histories are snapshotted.
+// confirmReduced marches a window of the run with BOTH the full solver and
+// the reduced model, probing the port rows, and returns the worst per-port
+// relative RMS error. Full-solver element state (capacitor histories) is
+// restored afterwards, so the production run starts clean either way.
+func (c *Circuit) confirmReduced(rr *reducedRun, opts TranOpts, nSteps, beSteps int) (float64, error) {
+	w := min(nSteps, confirmWindow)
+	opts.CheckpointPath = ""
+	ports := rr.ex.cl.ports
+	probes := make([]Probe, len(ports))
+	portPI := make([]int, len(ports))
+	for pi, row := range ports {
+		probes[pi] = rowProbe(row)
+		portPI[pi] = pi
+	}
+
+	// A dedicated newtonState keeps the production solver untouched;
+	// capacitor companion histories are snapshotted.
 	savedCaps := c.capStates()
 	defer func() {
 		_ = c.restoreCapStates(savedCaps)
 	}()
 	ns := newNewtonState(c)
 	copy(ns.x, rr.ex.sys.X0)
-	copy(ns.xPrev, ns.x)
-	ref := make([][]float64, p)
-	for pi := range ref {
-		ref[pi] = make([]float64, w+1)
-		ref[pi][0] = ns.x[ports[pi]]
-	}
-	be := beSteps
-	for s := 1; s <= w; s++ {
-		trap := opts.Method == Trapezoidal && be <= 0
-		ld := &ns.ld
-		*ld = loader{t: float64(s) * opts.DT, dt: opts.DT, trap: trap, gmin: opts.Gmin, op: "mor-confirm", step: s}
-		copy(ns.xPrev, ns.x)
-		if _, err := ns.solveNewton(ld, opts); err != nil {
-			return 0, err
-		}
-		ld.x = ns.x
-		ld.xPrev = ns.xPrev
-		for _, e := range c.elems {
-			e.accept(ld)
-		}
-		if be > 0 {
-			be--
-		}
-		for pi := range ref {
-			ref[pi][s] = ns.x[ports[pi]]
-		}
-	}
-
-	// Reduced run over the same window.
-	run := rr.model.NewRun()
-	dtInt := float64(stride) * opts.DT
-	stBE, err := rr.model.PrepStepper(dtInt, false)
+	red, err := c.newReducedStep(opts, rr, rr.model.NewRun(), portPI)
 	if err != nil {
 		return 0, err
 	}
-	var stTR *mor.Stepper
-	if opts.Method == Trapezoidal {
-		if stTR, err = rr.model.PrepStepper(dtInt, true); err != nil {
+	var runs [2]*Result
+	for i, st := range []stepper{&fullStep{c: c, ns: ns, opts: opts, probes: probes}, red} {
+		runs[i] = newResult(nil, probes, w, st)
+		if _, err := c.march(opts, st, runs[i], 1, w, beSteps); err != nil {
 			return 0, err
 		}
 	}
-	u := make([]float64, p)
-	uPrev := make([]float64, p)
-	rr.ex.sys.U(0, uPrev)
-	ts := make([]float64, ni+1)
-	vals := make([][]float64, p)
-	for pi := range vals {
-		vals[pi] = make([]float64, ni+1)
-		vals[pi][0] = run.PortValues()[pi]
-	}
-	for j := 1; j <= ni; j++ {
-		t := float64(j*stride) * opts.DT
-		st := stBE
-		if rr.model.StepIsTR(j) {
-			st = stTR
-		}
-		rr.ex.sys.U(t, u)
-		if _, err := run.Advance(st, t, u, uPrev, rr.portEval(), rr.newton); err != nil {
-			return 0, err
-		}
-		u, uPrev = uPrev, u
-		ts[j] = t
-		for pi := range vals {
-			vals[pi][j] = run.PortValues()[pi]
-		}
-	}
-
-	// Worst per-port relative RMS, with the same small-signal floor the
-	// linearized gate uses.
-	out := make([]float64, w+1)
-	rms := make([]float64, p)
-	scale := make([]float64, p)
-	maxScale := 0.0
-	for pi := 0; pi < p; pi++ {
-		if stride == 1 {
-			copy(out, vals[pi])
-		} else {
-			mor.ResampleHermite(ts, vals[pi], opts.DT, out)
-		}
-		var se, sr float64
-		for s := 0; s <= w; s++ {
-			d := ref[pi][s] - out[s]
-			se += d * d
-			sr += ref[pi][s] * ref[pi][s]
-		}
-		rms[pi] = math.Sqrt(se / float64(w+1))
-		scale[pi] = math.Sqrt(sr / float64(w+1))
-		if scale[pi] > maxScale {
-			maxScale = scale[pi]
-		}
-	}
-	worst := 0.0
-	for pi := 0; pi < p; pi++ {
-		den := scale[pi]
-		if floor := 1e-6 * maxScale; den < floor {
-			den = floor
-		}
-		if den == 0 {
-			den = 1
-		}
-		e := rms[pi] / den
-		if math.IsNaN(e) {
-			return math.Inf(1), nil
-		}
-		if e > worst {
-			worst = e
-		}
-	}
-	return worst, nil
+	return mor.WorstRelRMS(runs[0].Signals, runs[1].Signals), nil
 }
 
-// portEval returns the nonlinear port adapter as the mor interface, with a
-// true nil for linear circuits (a nil *nlPortEval boxed into the interface
-// would defeat mor's pe == nil linear bypass).
-func (rr *reducedRun) portEval() mor.PortEval {
-	if rr.pe == nil {
-		return nil
-	}
-	return rr.pe
+// rowProbe records one MNA row: the confirmation window probes the port
+// rows.
+type rowProbe int
+
+// Label implements Probe.
+func (p rowProbe) Label() string { return fmt.Sprintf("row%d", int(p)) }
+
+func (p rowProbe) sample(x []float64, nNodes int) float64 { return x[p] }
+
+// bailout is a reduced step's failure: the run restarts on the full solver
+// (the reduced run touches no element state, so that is always legal).
+type bailout struct {
+	detail string
+	err    error
 }
 
-// prepPair returns the BE (and, for trapezoidal runs, TR) steppers at dt.
-func (rr *reducedRun) prepPair(opts TranOpts, dt float64) (stBE, stTR *mor.Stepper, err error) {
-	if stBE, err = rr.model.PrepStepper(dt, false); err != nil {
-		return nil, nil, err
+func (b *bailout) Error() string {
+	return "spice: reduced run bailed out: " + b.detail + ": " + b.err.Error()
+}
+
+func (b *bailout) Unwrap() error { return b.err }
+
+// reducedStep advances the reduced model by one output grid step. It never
+// sub-steps: every failure is a *bailout, so the dt march passes is always
+// the grid step the steppers were prepared for.
+type reducedStep struct {
+	c          *Circuit
+	rr         *reducedRun
+	run        *mor.Run
+	opts       TranOpts
+	stBE, stTR *mor.Stepper
+	u, uPrev   []float64
+	probePI    []int // per signal: port index, or -1 for ground probes
+	// x and xPrev are the expanded full-space states at the current and the
+	// previous grid point, kept by checkpointing runs only (see snapshot).
+	x, xPrev []float64
+}
+
+// newReducedStep prepares run for marching: the BE (and, for trapezoidal
+// runs, TR) steppers at the output dt.
+func (c *Circuit) newReducedStep(opts TranOpts, rr *reducedRun, run *mor.Run, probePI []int) (*reducedStep, error) {
+	p := rr.model.NumPorts()
+	s := &reducedStep{c: c, rr: rr, run: run, opts: opts, probePI: probePI,
+		u: make([]float64, p), uPrev: make([]float64, p)}
+	var err error
+	if s.stBE, err = rr.model.PrepStepper(opts.DT, false); err != nil {
+		return nil, &bailout{"preparing the BE stepper", err}
 	}
 	if opts.Method == Trapezoidal {
-		if stTR, err = rr.model.PrepStepper(dt, true); err != nil {
-			return nil, nil, err
+		if s.stTR, err = rr.model.PrepStepper(opts.DT, true); err != nil {
+			return nil, &bailout{"preparing the TR stepper", err}
 		}
 	}
-	return stBE, stTR, nil
+	if opts.CheckpointPath != "" {
+		s.x = make([]float64, rr.model.N)
+		s.xPrev = make([]float64, rr.model.N)
+		run.ExpandInto(s.x)
+	}
+	return s, nil
 }
 
-// record appends one output grid sample from the reduced run's port values,
-// using the same T formula as the full solver's loop.
-func (rr *reducedRun) record(run *mor.Run, res *Result, opts TranOpts) {
-	res.T = append(res.T, float64(len(res.T))*opts.DT)
-	pv := run.PortValues()
-	for i, pi := range rr.ex.cl.probePI {
+func (s *reducedStep) advance(t, dt float64, step int, trap bool) error {
+	if err := s.opts.ctl.Tick("spice.mor"); err != nil {
+		return err
+	}
+	tNew := t + dt
+	if s.opts.Injector != nil {
+		if err := s.opts.Injector.At(diag.Site{Op: "spice.mor/step", Time: tNew, Step: step}); err != nil {
+			return &bailout{"injected reduced-step fault", err}
+		}
+	}
+	st := s.stBE
+	if trap {
+		st = s.stTR
+	}
+	s.rr.ex.sys.U(t, s.uPrev)
+	s.rr.ex.sys.U(tNew, s.u)
+	if _, err := s.run.Advance(st, tNew, s.u, s.uPrev, s.rr.pe, s.rr.newton); err != nil {
+		return &bailout{fmt.Sprintf("reduced step failed at t=%g", tNew), err}
+	}
+	if s.x != nil {
+		s.x, s.xPrev = s.xPrev, s.x
+		s.run.ExpandInto(s.x)
+	}
+	return nil
+}
+
+func (s *reducedStep) sample(signals [][]float64) {
+	pv := s.run.PortValues()
+	for i, pi := range s.probePI {
 		v := 0.0
 		if pi >= 0 {
 			v = pv[pi]
 		}
-		res.Signals[i] = append(res.Signals[i], v)
+		signals[i] = append(signals[i], v)
 	}
 }
 
-// reducedLoopRun marches the reduced model from output step startStep
-// through the end of the window. It returns (result, nil, false) on success,
-// (nil, nil, true) when the run must bail out to the full solver (the caller
-// reruns from scratch — element state is untouched, so that is always
-// legal), and a non-nil error only for terminal run-control stops or
-// checkpoint I/O failures, with the partial-result contract honoured.
-func (c *Circuit) reducedLoopRun(opts TranOpts, rr *reducedRun, run *mor.Run, res *Result, probes []Probe, nSteps, startStep, beSteps int) (*Result, error, bool) {
-	if rr.model.Stride == 1 {
-		return c.reducedLoopDirect(opts, rr, run, res, probes, nSteps, startStep, beSteps)
-	}
-	return c.reducedLoopStrided(opts, rr, run, res, probes, nSteps)
-}
-
-// reducedLoopDirect is the stride-1 mode: every internal step lands on an
-// output grid point, recorded directly — which makes checkpointing and
-// resume possible, and keeps the partial-result contract sample-exact.
-func (c *Circuit) reducedLoopDirect(opts TranOpts, rr *reducedRun, run *mor.Run, res *Result, probes []Probe, nSteps, startStep, beSteps int) (*Result, error, bool) {
-	p := rr.model.NumPorts()
-	stBE, stTR, err := rr.prepPair(opts, opts.DT)
-	if err != nil {
-		return nil, nil, true
-	}
-	u := make([]float64, p)
-	uPrev := make([]float64, p)
-	rr.ex.sys.U(float64(startStep-1)*opts.DT, uPrev)
-
-	checkpointing := opts.CheckpointPath != ""
-	var xFull, xFullPrev []float64
-	if checkpointing {
-		xFull = make([]float64, rr.model.N)
-		xFullPrev = make([]float64, rr.model.N)
-		run.ExpandInto(xFullPrev)
-	}
-	for j := startStep; j <= nSteps; j++ {
-		if err := opts.ctl.Tick("spice.mor"); err != nil {
-			res.Partial = true
-			res.PartialT = float64(j-1) * opts.DT
-			return res, err, false
-		}
-		if opts.Injector != nil {
-			if ierr := opts.Injector.At(diag.Site{Op: "spice.mor/step", Time: float64(j) * opts.DT, Step: j}); ierr != nil {
-				opts.Report.Record("mor", "bailout", diag.OutcomeFailed, "injected reduced-step fault", ierr)
-				return nil, nil, true
-			}
-		}
-		t := float64(j) * opts.DT
-		st := stBE
-		if rr.model.StepIsTR(j) {
-			st = stTR
-		}
-		rr.ex.sys.U(t, u)
-		if _, aerr := run.Advance(st, t, u, uPrev, rr.portEval(), rr.newton); aerr != nil {
-			opts.Report.Record("mor", "bailout", diag.OutcomeFailed,
-				fmt.Sprintf("reduced step failed at t=%g", t), aerr)
-			return nil, nil, true
-		}
-		u, uPrev = uPrev, u
-		rr.record(run, res, opts)
-		if checkpointing {
-			run.ExpandInto(xFull)
-			if j%opts.CheckpointEvery == 0 || j == nSteps {
-				if werr := c.writeReducedCheckpoint(opts, j, remainingBE(beSteps, j), rr, run, xFull, xFullPrev, res); werr != nil {
-					return res, werr, false
-				}
-			}
-			xFull, xFullPrev = xFullPrev, xFull
-		}
-	}
-	return res, nil, false
-}
-
-// remainingBE is the BE-startup counter after j completed output steps —
-// the value the full solver's loop would carry at that boundary.
-func remainingBE(beSteps, j int) int {
-	if j >= beSteps {
-		return 0
-	}
-	return beSteps - j
-}
-
-// reducedLoopStrided is the stride-k mode: the model advances on the coarse
-// internal grid the gate validated, coarse port samples are resampled onto
-// the output grid with cubic Hermite interpolation, and the remainder steps
-// (output window not divisible by the stride) run at the output dt.
-func (c *Circuit) reducedLoopStrided(opts TranOpts, rr *reducedRun, run *mor.Run, res *Result, probes []Probe, nSteps int) (*Result, error, bool) {
-	model := rr.model
-	k := model.Stride
-	ni := nSteps / k
-	rem := nSteps - ni*k
-	p := model.NumPorts()
-	stBE, stTR, err := rr.prepPair(opts, float64(k)*opts.DT)
-	if err != nil {
-		return nil, nil, true
-	}
-
-	u := make([]float64, p)
-	uPrev := make([]float64, p)
-	rr.ex.sys.U(0, uPrev)
-	ts := make([]float64, ni+1)
-	vals := make([][]float64, len(probes))
-	pv := run.PortValues()
-	for i := range vals {
-		vals[i] = make([]float64, ni+1)
-		if pi := rr.ex.cl.probePI[i]; pi >= 0 {
-			vals[i][0] = pv[pi]
-		}
-	}
-
-	// resampleInto flushes the coarse samples of internal steps 1..j onto
-	// the output grid, appending to res.
-	resampleInto := func(j int) {
-		if j < 1 {
-			return
-		}
-		wOut := j * k
-		out := make([]float64, wOut+1)
-		for i := range probes {
-			mor.ResampleHermite(ts[:j+1], vals[i][:j+1], opts.DT, out)
-			res.Signals[i] = append(res.Signals[i], out[1:]...)
-		}
-		for s := 1; s <= wOut; s++ {
-			res.T = append(res.T, float64(len(res.T))*opts.DT)
-		}
-	}
-
-	for j := 1; j <= ni; j++ {
-		if err := opts.ctl.Tick("spice.mor"); err != nil {
-			resampleInto(j - 1)
-			res.Partial = true
-			res.PartialT = float64((j-1)*k) * opts.DT
-			return res, err, false
-		}
-		if opts.Injector != nil {
-			if ierr := opts.Injector.At(diag.Site{Op: "spice.mor/step", Time: float64(j*k) * opts.DT, Step: j}); ierr != nil {
-				opts.Report.Record("mor", "bailout", diag.OutcomeFailed, "injected reduced-step fault", ierr)
-				return nil, nil, true
-			}
-		}
-		t := float64(j*k) * opts.DT
-		st := stBE
-		if model.StepIsTR(j) {
-			st = stTR
-		}
-		rr.ex.sys.U(t, u)
-		if _, aerr := run.Advance(st, t, u, uPrev, rr.portEval(), rr.newton); aerr != nil {
-			opts.Report.Record("mor", "bailout", diag.OutcomeFailed,
-				fmt.Sprintf("reduced step failed at t=%g", t), aerr)
-			return nil, nil, true
-		}
-		u, uPrev = uPrev, u
-		ts[j] = t
-		pv = run.PortValues()
-		for i := range vals {
-			if pi := rr.ex.cl.probePI[i]; pi >= 0 {
-				vals[i][j] = pv[pi]
-			}
-		}
-	}
-	resampleInto(ni)
-
-	if rem > 0 {
-		stBE1, stTR1, err := rr.prepPair(opts, opts.DT)
-		if err != nil {
-			// The coarse window is already recorded, but a half-recorded
-			// result cannot be handed to the full-solver rerun: bail out
-			// and let the caller reset the result.
-			return nil, nil, true
-		}
-		rr.ex.sys.U(float64(ni*k)*opts.DT, uPrev)
-		for s := 1; s <= rem; s++ {
-			if err := opts.ctl.Tick("spice.mor"); err != nil {
-				res.Partial = true
-				res.PartialT = float64(ni*k+s-1) * opts.DT
-				return res, err, false
-			}
-			j := ni + s
-			t := float64(ni*k+s) * opts.DT
-			st := stBE1
-			if model.StepIsTR(j) {
-				st = stTR1
-			}
-			rr.ex.sys.U(t, u)
-			if _, aerr := run.Advance(st, t, u, uPrev, rr.portEval(), rr.newton); aerr != nil {
-				opts.Report.Record("mor", "bailout", diag.OutcomeFailed,
-					fmt.Sprintf("reduced remainder step failed at t=%g", t), aerr)
-				return nil, nil, true
-			}
-			u, uPrev = uPrev, u
-			rr.record(run, res, opts)
-		}
-	}
-	return res, nil, false
-}
-
-// writeReducedCheckpoint snapshots a reduced stride-1 run at an output grid
-// boundary. X carries the expanded full-space state; CapI carries
-// backward-Euler estimates of the capacitor companion currents from the last
-// step's expanded states (informative — a resume of a reduced checkpoint
-// always restores the reduced coordinates from the MOR blob, never CapI).
-func (c *Circuit) writeReducedCheckpoint(opts TranOpts, step, beSteps int, rr *reducedRun, run *mor.Run, xFull, xFullPrev []float64, res *Result) error {
+// snapshot stores the expanded full-space state in X and backward-Euler
+// estimates of the capacitor companion currents from the last step's
+// expanded states in CapI — informative: a resume restores the reduced
+// coordinates from the MOR blob, and only a full-solver continuation reads
+// CapI.
+func (s *reducedStep) snapshot(cp *Checkpoint) {
 	nodeV := func(x []float64, id NodeID) float64 {
 		if id == Ground {
 			return 0
 		}
 		return x[id]
 	}
-	var capi []float64
-	for _, e := range c.elems {
-		if cp, ok := e.(*capacitor); ok {
-			dv := (nodeV(xFull, cp.a) - nodeV(xFull, cp.b)) -
-				(nodeV(xFullPrev, cp.a) - nodeV(xFullPrev, cp.b))
-			capi = append(capi, cp.c*dv/opts.DT)
+	for _, e := range s.c.elems {
+		if cap, ok := e.(*capacitor); ok {
+			dv := (nodeV(s.x, cap.a) - nodeV(s.x, cap.b)) -
+				(nodeV(s.xPrev, cap.a) - nodeV(s.xPrev, cap.b))
+			cp.CapI = append(cp.CapI, cap.c*dv/s.opts.DT)
 		}
 	}
-	st := run.CaptureState()
-	cp := &Checkpoint{
-		Version:   checkpointVersion,
-		TStop:     opts.TStop,
-		DT:        opts.DT,
-		Method:    int(opts.Method),
-		NUnknowns: rr.model.N,
-		NCaps:     len(capi),
-		Step:      step,
-		BESteps:   beSteps,
-		X:         xFull,
-		CapI:      capi,
-		T:         res.T,
-		Labels:    res.Labels,
-		Signals:   res.Signals,
-		MOR: &MORCheckpoint{
-			Fingerprint: rr.fp,
-			T:           st.T,
-			V:           st.V,
-			Z:           st.Z,
-		},
-	}
-	return cp.WriteFile(opts.CheckpointPath)
+	st := s.run.CaptureState()
+	cp.X = s.x
+	cp.MOR = &MORCheckpoint{Fingerprint: s.rr.fp, T: st.T, V: st.V, Z: st.Z}
 }
 
-// --- adaptive reduced run ---
-
-// tryReduceAdaptive builds (or fetches) a reduced model for an adaptive
-// trapezoidal run. Only fully linear circuits take the adaptive reduced
-// path — the interplay of reduced Newton retreats with LTE step control is
-// not worth the risk for the handful of nonlinear adaptive workloads. A nil
-// return means "use the full solver".
-func (c *Circuit) tryReduceAdaptive(opts AdaptiveOpts, tran TranOpts, x0 []float64, probes []Probe) *reducedRun {
-	if opts.NoReduction || opts.NoFastPath {
-		return nil
+// runReduced marches rr over output grid steps from..to. bailed reports a
+// *bailout: res is then cut back to its first `from` samples and the caller
+// continues with the full solver. Otherwise the result and error are
+// march's — a run-control stop or checkpoint I/O failure honours the
+// partial-result contract.
+func (c *Circuit) runReduced(opts TranOpts, rr *reducedRun, run *mor.Run, res *Result, from, to, beSteps int) (out *Result, err error, bailed bool) {
+	st, err := c.newReducedStep(opts, rr, run, rr.ex.cl.probePI)
+	if err == nil {
+		out, err = c.march(opts, st, res, from, to, beSteps)
 	}
-	if c.NumUnknowns() < reduceMinUnknowns || opts.TStop/opts.DTInit < reduceMinSteps {
-		return nil
+	var b *bailout
+	if !errors.As(err, &b) {
+		return out, err, false
 	}
-	cl, err := classifyReduction(c, probes)
-	if err != nil {
-		morStatRejected.Add(1)
-		tran.Report.Record("mor", "classify", diag.OutcomeSkipped, err.Error(), nil)
-		return nil
+	morStatFallback.Add(1)
+	opts.Report.Record("mor", "bailout", diag.OutcomeFailed, b.detail, b.err)
+	res.T = res.T[:from]
+	for i := range res.Signals {
+		res.Signals[i] = res.Signals[i][:from]
 	}
-	if len(cl.nlIdx) > 0 {
-		morStatRejected.Add(1)
-		tran.Report.Record("mor", "classify", diag.OutcomeSkipped,
-			"nonlinear circuit: adaptive runs reduce linear circuits only", nil)
-		return nil
-	}
-	ex, err := extractSystem(c, cl, x0, tran.Gmin)
-	if err != nil {
-		morStatRejected.Add(1)
-		tran.Report.Record("mor", "extract", diag.OutcomeSkipped, err.Error(), nil)
-		return nil
-	}
-	// The gate validates the projection subspace on the DTInit grid with the
-	// run's TR/BE-start schedule; the subspace itself (a Krylov space of G
-	// and C) is dt-independent, and the per-dt LTE controller governs
-	// accuracy as the adaptive grid stretches toward DTMax.
-	mopts := mor.Options{
-		DT:           opts.DTInit,
-		NSteps:       int(opts.TStop / opts.DTInit),
-		TR:           true,
-		BESteps:      2,
-		Tol:          reduceTol,
-		ForceStride1: true,
-	}
-	fp := ex.fingerprint(mopts, opts.TStop)
-	if e, ok := morCacheGet(fp); ok {
-		if e.model == nil {
-			return nil
-		}
-		rr := c.finishReduce(e.model, ex, fp, tran)
-		if rr != nil {
-			morStatEngaged.Add(1)
-			morStatCacheHits.Add(1)
-			tran.Report.Record("mor", "accept", diag.OutcomeOK, acceptDetail(e.model, true), nil)
-		}
-		return rr
-	}
-	model, rerr := mor.Reduce(ex.sys, mopts)
-	if rerr != nil {
-		morStatRejected.Add(1)
-		tran.Report.Record("mor", "reduce", diag.OutcomeSkipped, rerr.Error(), nil)
-		if !runctl.IsStop(rerr) {
-			morCachePut(fp, &morCacheEntry{})
-		}
-		return nil
-	}
-	morCachePut(fp, &morCacheEntry{model: model})
-	rr := c.finishReduce(model, ex, fp, tran)
-	if rr != nil {
-		morStatEngaged.Add(1)
-		tran.Report.Record("mor", "accept", diag.OutcomeOK, acceptDetail(model, false), nil)
-	}
-	return rr
-}
-
-// reducedAdaptiveLoop mirrors the full adaptive loop in the reduced space:
-// per-dt prepared steppers, the same quadratic-predictor LTE estimate
-// evaluated on the node-voltage ports, the same resize rule. Returns
-// bailed=true when the caller must rerun with the full solver.
-func (c *Circuit) reducedAdaptiveLoop(opts AdaptiveOpts, tran TranOpts, rr *reducedRun, res *Result, probes []Probe) (*Result, error, bool) {
-	model := rr.model
-	run := model.NewRun()
-	p := model.NumPorts()
-	var nodePorts []int // LTE is defined on node voltages, as in the full loop
-	for pi, row := range rr.ex.cl.ports {
-		if row < rr.ex.nNodes {
-			nodePorts = append(nodePorts, pi)
-		}
-	}
-	u := make([]float64, p)
-	uPrev := make([]float64, p)
-	h1 := make([]float64, p)
-	h2 := make([]float64, p)
-	prevV := make([]float64, p)
-	var t1, t2 float64
-	havePts := 0
-
-	record := func(t float64) {
-		res.T = append(res.T, t)
-		pv := run.PortValues()
-		for i, pi := range rr.ex.cl.probePI {
-			v := 0.0
-			if pi >= 0 {
-				v = pv[pi]
-			}
-			res.Signals[i] = append(res.Signals[i], v)
-		}
-	}
-
-	t := 0.0
-	dt := opts.DTInit
-	beSteps := 2
-	fails := 0
-	for t < opts.TStop*(1-1e-12) {
-		if err := tran.ctl.Tick("spice.mor"); err != nil {
-			res.Partial = true
-			res.PartialT = t
-			return res, err, false
-		}
-		if t+dt > opts.TStop {
-			dt = opts.TStop - t
-		}
-		trap := beSteps <= 0
-		st, perr := model.PrepStepper(dt, trap)
-		if perr != nil {
-			return nil, nil, true
-		}
-		tn := t + dt
-		rr.ex.sys.U(t, uPrev)
-		rr.ex.sys.U(tn, u)
-		copy(prevV, run.PortValues())
-		snap := run.CaptureState()
-		if _, aerr := run.Advance(st, tn, u, uPrev, nil, rr.newton); aerr != nil {
-			fails++
-			if fails > 30 {
-				return nil, nil, true
-			}
-			dt /= 2
-			if dt < opts.DTMin {
-				return nil, nil, true
-			}
-			continue
-		}
-		fails = 0
-		if havePts >= 2 && trap {
-			l2 := (tn - t1) * (tn - t) / ((t2 - t1) * (t2 - t))
-			l1 := (tn - t2) * (tn - t) / ((t1 - t2) * (t1 - t))
-			l0 := (tn - t2) * (tn - t1) / ((t - t2) * (t - t1))
-			errMax := 0.0
-			pv := run.PortValues()
-			for _, pi := range nodePorts {
-				pred := l2*h2[pi] + l1*h1[pi] + l0*prevV[pi]
-				if e := math.Abs(pv[pi] - pred); e > errMax {
-					errMax = e
-				}
-			}
-			if errMax > 8*opts.LTETol && dt > opts.DTMin {
-				if rerr := run.RestoreState(snap); rerr != nil {
-					return nil, nil, true
-				}
-				dt = math.Max(dt/2, opts.DTMin)
-				continue
-			}
-			ratio := math.Pow(opts.LTETol/math.Max(errMax, 1e-300), 1.0/3)
-			ratio = math.Min(math.Max(ratio, 0.3), 2)
-			dt = math.Min(math.Max(dt*ratio, opts.DTMin), opts.DTMax)
-		}
-		t2, t1 = t1, t
-		copy(h2, h1)
-		copy(h1, prevV)
-		if havePts < 2 {
-			havePts++
-		}
-		t = tn
-		if beSteps > 0 {
-			beSteps--
-		}
-		record(t)
-	}
-	return res, nil, false
+	return nil, nil, true
 }

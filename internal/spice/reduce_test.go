@@ -282,65 +282,29 @@ func TestReducedCheckpointResumeBitExact(t *testing.T) {
 	}
 }
 
-// TestReducedAdaptiveEngages checks that adaptive runs on linear circuits
-// take the reduced path and stay consistent with the full adaptive solver.
-// The two runs choose their own (different) step sequences, so the check
-// compares the exactly-aligned endpoints and interpolated interior values.
-func TestReducedAdaptiveEngages(t *testing.T) {
+// TestReducedStepAllocFree marches a validated reduced model of a
+// repeated ladder through steady-state steps of the production reduced
+// step and requires them to allocate nothing, like the full step.
+func TestReducedStepAllocFree(t *testing.T) {
 	morCacheReset()
-	cRed, pRed := reduceLadder(t, 7, false)
-	rep := &diag.Report{}
-	red, err := cRed.TransientAdaptive(AdaptiveOpts{TStop: 1e-9, ITol: 1e-12, Report: rep}, pRed...)
+	c, probes := reduceLadder(t, 3, true)
+	opts, err := ladderOpts().withDefaults()
 	if err != nil {
-		t.Fatalf("reduced adaptive: %v", err)
+		t.Fatal(err)
 	}
-	if !reportHas(rep, "mor", "accept") {
-		t.Fatalf("adaptive reduction did not engage:\n%s", rep)
-	}
-	cFull, pFull := reduceLadder(t, 7, false)
-	full, err := cFull.TransientAdaptive(AdaptiveOpts{TStop: 1e-9, ITol: 1e-12, NoReduction: true}, pFull...)
+	x0, err := c.DCOperatingPointWith(DCOpts{})
 	if err != nil {
-		t.Fatalf("full adaptive: %v", err)
+		t.Fatal(err)
 	}
-	if len(red.T) < 10 {
-		t.Fatalf("reduced adaptive run recorded only %d samples", len(red.T))
+	rr, err := c.tryReduce(opts, x0, probes, opts.gridSteps(), 2)
+	if err != nil || rr == nil {
+		t.Fatalf("no reduced model to step (err %v)", err)
 	}
-	for i := range red.Signals {
-		last := len(red.T) - 1
-		if d := math.Abs(red.Signals[i][last] - full.Signals[i][len(full.T)-1]); d > 5e-3 {
-			t.Errorf("signal %d: endpoint differs by %g (want <= 5e-3)", i, d)
-		}
-		for j, tj := range red.T {
-			want, ok := interpResult(full, i, tj)
-			if !ok {
-				continue
-			}
-			// Loose bound: both controllers hold LTE to ~1e-4, but the
-			// interpolation between coarse adaptive samples dominates.
-			if d := math.Abs(red.Signals[i][j] - want); d > 5e-2 {
-				t.Errorf("signal %d at t=%g: reduced %g vs full %g", i, tj, red.Signals[i][j], want)
-			}
-		}
+	st, err := c.newReducedStep(opts, rr, rr.model.NewRun(), rr.ex.cl.probePI)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// interpResult linearly interpolates signal i of res at time tq.
-func interpResult(res *Result, i int, tq float64) (float64, bool) {
-	ts := res.T
-	if len(ts) == 0 || tq < ts[0] || tq > ts[len(ts)-1] {
-		return 0, false
-	}
-	for k := 1; k < len(ts); k++ {
-		if tq <= ts[k] {
-			t0, t1 := ts[k-1], ts[k]
-			if t1 == t0 {
-				return res.Signals[i][k], true
-			}
-			a := (tq - t0) / (t1 - t0)
-			return (1-a)*res.Signals[i][k-1] + a*res.Signals[i][k], true
-		}
-	}
-	return res.Signals[i][len(ts)-1], true
+	requireStepsAllocFree(t, st, opts.DT)
 }
 
 // TestReducedCacheConcurrent hammers the shared projection cache from

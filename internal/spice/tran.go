@@ -93,11 +93,6 @@ type TranOpts struct {
 	// ctl is the per-run controller built by TransientCtx from the caller's
 	// context and Limits; it flows to every nested solve of the run.
 	ctl *runctl.Controller
-	// resumeStride1 marks a reduced-checkpoint resume: the model must be
-	// rebuilt stride-1 (as the checkpointing run built it) even though the
-	// resume options may not set CheckpointPath, or the content fingerprint
-	// would not match the snapshot.
-	resumeStride1 bool
 }
 
 // Validate rejects option sets whose tolerances or budgets are negative or
@@ -160,6 +155,19 @@ func (o TranOpts) withDefaults() (TranOpts, error) {
 		o.CheckpointEvery = 64
 	}
 	return o, nil
+}
+
+// gridSteps is the number of output grid steps of the window.
+func (o TranOpts) gridSteps() int {
+	return int(math.Ceil(o.TStop/o.DT + 1e-9))
+}
+
+// beStart is the number of backward-Euler startup steps a run opens with.
+func (o TranOpts) beStart() int {
+	if o.NoBEStart {
+		return 0
+	}
+	return 2
 }
 
 // Probe selects a signal to record during a transient run.
@@ -672,46 +680,18 @@ func (c *Circuit) TransientCtx(ctx context.Context, opts TranOpts, probes ...Pro
 	opts.ctl = runctl.New(ctx, opts.Limits)
 	ns := newNewtonState(c)
 
-	// Initial state.
-	if opts.UseICs {
-		for id, v := range c.ics {
-			ns.x[id] = v
-		}
-	} else {
-		x0, err := c.dcOperatingPoint(opts.ctl, DCOpts{Injector: opts.Injector, Report: opts.Report, NoFastPath: opts.NoFastPath})
-		if err != nil {
-			return nil, fmt.Errorf("spice: Transient initial point: %w", err)
-		}
-		copy(ns.x, x0)
-	}
-	copy(ns.xPrev, ns.x)
-
-	nSteps := int(math.Ceil(opts.TStop/opts.DT + 1e-9))
-	res = opts.ResultBuf
-	if res == nil {
-		res = &Result{}
-	}
-	res.Partial, res.PartialT = false, 0
-	res.T = growCapF(res.T, nSteps+1)
-	if len(res.Signals) != len(probes) {
-		res.Signals = make([][]float64, len(probes))
-	}
-	if len(res.Labels) != len(probes) {
-		res.Labels = make([]string, len(probes))
-	}
-	for i, p := range probes {
-		res.Labels[i] = p.Label()
-		res.Signals[i] = growCapF(res.Signals[i], nSteps+1)
-	}
-	res.T = append(res.T, 0) // t = 0
-	for i, p := range probes {
-		res.Signals[i] = append(res.Signals[i], p.sample(ns.x, ns.nNodes))
+	if err := c.initialState(opts, ns.x); err != nil {
+		return nil, fmt.Errorf("spice: Transient initial point: %w", err)
 	}
 
-	beSteps := 2 // BE start for trapezoidal
-	if opts.NoBEStart {
-		beSteps = 0
-	}
+	nSteps := opts.gridSteps()
+	full := &fullStep{c: c, ns: ns, opts: opts, probes: probes}
+	res = newResult(opts.ResultBuf, probes, nSteps, full)
+	// Record the factor shape on every exit path (partial runs included) so
+	// -diag output always reflects what the solver actually built; a purely
+	// reduced-order run never factors.
+	defer func() { res.Factor = ns.factorStats() }()
+	beSteps := opts.beStart()
 
 	// Krylov reduced-order fast path: when the circuit's linear partition
 	// admits a gate-validated projection, march the reduced system instead
@@ -722,19 +702,52 @@ func (c *Circuit) TransientCtx(ctx context.Context, opts TranOpts, probes ...Pro
 		res.Partial = true
 		return res, rerr
 	} else if rr != nil {
-		out, lerr, bailed := c.reducedLoopRun(opts, rr, rr.model.NewRun(), res, probes, nSteps, 1, beSteps)
+		out, lerr, bailed := c.runReduced(opts, rr, rr.model.NewRun(), res, 1, nSteps, beSteps)
 		if !bailed {
 			return out, lerr
 		}
-		morStatFallback.Add(1)
 		opts.Report.Record("mor", "fallback", diag.OutcomeSkipped,
 			"reduced run bailed out; rerunning with the full solver", nil)
-		res.T = res.T[:1]
-		for i := range res.Signals {
-			res.Signals[i] = res.Signals[i][:1]
-		}
 	}
-	return c.transientLoop(opts, ns, res, probes, 1, beSteps)
+	return c.march(opts, full, res, 1, nSteps, beSteps)
+}
+
+// initialState fills x with the run's t = 0 state: the SetIC values when
+// opts.UseICs holds, else the DC operating point.
+func (c *Circuit) initialState(opts TranOpts, x []float64) error {
+	if opts.UseICs {
+		for id, v := range c.ics {
+			x[id] = v
+		}
+		return nil
+	}
+	x0, err := c.dcOperatingPoint(opts.ctl, DCOpts{Injector: opts.Injector, Report: opts.Report, NoFastPath: opts.NoFastPath})
+	copy(x, x0)
+	return err
+}
+
+// newResult returns buf (or a fresh Result) reset for a run of n output grid
+// steps over probes, holding st's t = 0 sample.
+func newResult(buf *Result, probes []Probe, n int, st stepper) *Result {
+	res := buf
+	if res == nil {
+		res = &Result{}
+	}
+	res.Partial, res.PartialT = false, 0
+	res.T = growCapF(res.T, n+1)
+	if len(res.Signals) != len(probes) {
+		res.Signals = make([][]float64, len(probes))
+	}
+	if len(res.Labels) != len(probes) {
+		res.Labels = make([]string, len(probes))
+	}
+	for i, p := range probes {
+		res.Labels[i] = p.Label()
+		res.Signals[i] = growCapF(res.Signals[i], n+1)
+	}
+	res.T = append(res.T, 0)
+	st.sample(res.Signals)
+	return res
 }
 
 // growCapF returns b emptied, with capacity for at least n samples.
@@ -745,25 +758,94 @@ func growCapF(b []float64, n int) []float64 {
 	return b[:0]
 }
 
-// transientLoop marches the output grid from startStep through the end of
-// the window. It is shared by fresh runs (startStep 1) and checkpoint
-// resumes (startStep = checkpoint step + 1 with ns, res, and element state
-// restored); because every per-grid-step controller variable (sub-step
-// size, halving count, BE-fallback count) resets at each grid boundary, a
-// resume from a boundary reproduces the uninterrupted run bit-exactly.
-func (c *Circuit) transientLoop(opts TranOpts, ns *newtonState, res *Result, probes []Probe, startStep, beSteps int) (*Result, error) {
-	// Record the factor shape on every exit path (partial runs included) so
-	// -diag output always reflects what the solver actually built.
-	defer func() { res.Factor = ns.factorStats() }()
-	nSteps := int(math.Ceil(opts.TStop/opts.DT + 1e-9))
-	record := func() {
-		res.T = append(res.T, float64(len(res.T))*opts.DT)
-		for i, p := range probes {
-			res.Signals[i] = append(res.Signals[i], p.sample(ns.x, ns.nNodes))
-		}
+// stepper advances a transient's solver state by one step. fullStep solves
+// the whole MNA system; reducedStep (reduce.go) steps the reduced-order
+// model. march, the fixed-grid loop, drives either; the adaptive loop drives
+// fullStep.
+type stepper interface {
+	// advance moves the state from t to t+dt on output grid step `step`,
+	// trapezoidal when trap holds and backward Euler otherwise. On error the
+	// state is unchanged and the error is a run-control stop, a *bailout
+	// (reducedStep only), or a Newton failure that a smaller step or the BE
+	// scheme may cure.
+	advance(t, dt float64, step int, trap bool) error
+	// sample appends the current probe values, one per signal.
+	sample(signals [][]float64)
+	// snapshot fills the solver-state fields of a checkpoint: X, CapI and,
+	// for a reduced run, MOR.
+	snapshot(cp *Checkpoint)
+}
+
+// fullStep is the Newton step of the whole MNA system; solveNewton picks the
+// legacy, symbolic-cache refactorization or linear-bypass assembly from the
+// options and the circuit.
+type fullStep struct {
+	c      *Circuit
+	ns     *newtonState
+	opts   TranOpts
+	probes []Probe
+}
+
+// solve runs the Newton solve from t to t+dt, leaving the converged iterate
+// in ns.x; on failure ns.x is restored to the step's start.
+func (s *fullStep) solve(t, dt float64, step int, trap bool) error {
+	op := "tran-be"
+	if trap {
+		op = "tran-tr"
 	}
-	t := float64(startStep-1) * opts.DT
-	for step := startStep; step <= nSteps; step++ {
+	ns := s.ns
+	ld := &ns.ld
+	*ld = loader{t: t + dt, dt: dt, trap: trap, gmin: s.opts.Gmin, op: op, step: step}
+	copy(ns.xPrev, ns.x)
+	if _, err := ns.solveNewton(ld, s.opts); err != nil {
+		copy(ns.x, ns.xPrev)
+		return err
+	}
+	return nil
+}
+
+// commit accepts the solved step into the element state. The loader is
+// reused as-is: solveNewton leaves ld.x on the converged iterate and
+// ld.xPrev on the previous step's solution, exactly what accept needs.
+func (s *fullStep) commit() {
+	ld := &s.ns.ld
+	ld.x = s.ns.x
+	ld.xPrev = s.ns.xPrev
+	for _, e := range s.c.elems {
+		e.accept(ld)
+	}
+}
+
+func (s *fullStep) advance(t, dt float64, step int, trap bool) error {
+	if err := s.solve(t, dt, step, trap); err != nil {
+		return err
+	}
+	s.commit()
+	return nil
+}
+
+func (s *fullStep) sample(signals [][]float64) {
+	for i, p := range s.probes {
+		signals[i] = append(signals[i], p.sample(s.ns.x, s.ns.nNodes))
+	}
+}
+
+func (s *fullStep) snapshot(cp *Checkpoint) {
+	cp.X = s.ns.x
+	cp.CapI = s.c.capStates()
+}
+
+// march is the fixed-grid loop: it advances st over output grid steps
+// from..to, recording every grid point into res and writing checkpoints on
+// the CheckpointEvery cadence. Fresh runs, checkpoint resumes, the full
+// rerun after a reduced bail-out and both halves of the reduced model's
+// confirmation window all march here. Because every per-grid-step
+// controller variable (sub-step size, halving count, BE-fallback count)
+// resets at each grid boundary, a resume from a boundary reproduces the
+// uninterrupted run bit-exactly.
+func (c *Circuit) march(opts TranOpts, st stepper, res *Result, from, to, beSteps int) (*Result, error) {
+	t := float64(from-1) * opts.DT
+	for step := from; step <= to; step++ {
 		tTarget := float64(step) * opts.DT
 		// March to the grid point, recovering from Newton failures with a
 		// two-rung ladder: (1) retry the failing sub-interval with the
@@ -777,19 +859,12 @@ func (c *Circuit) transientLoop(opts TranOpts, ns *newtonState, res *Result, pro
 				dt = tTarget - t
 			}
 			trap := opts.Method == Trapezoidal && beSteps <= 0 && forceBE == 0
-			op := "tran-be"
-			if trap {
-				op = "tran-tr"
-			}
-			ld := &ns.ld
-			*ld = loader{t: t + dt, dt: dt, trap: trap, gmin: opts.Gmin, op: op, step: step}
-			copy(ns.xPrev, ns.x)
-			if _, err := ns.solveNewton(ld, opts); err != nil {
-				// Back out the failed attempt.
-				copy(ns.x, ns.xPrev)
+			if err := st.advance(t, dt, step, trap); err != nil {
 				// A run-control stop is not a convergence failure: skip the
 				// recovery ladder, keep the waveform recorded so far, and
-				// unwind with the typed stop carrying step context.
+				// unwind with the typed stop carrying step context. A
+				// bail-out goes straight back to the caller too.
+				var b *bailout
 				if runctl.IsStop(err) {
 					res.Partial = true
 					res.PartialT = t
@@ -798,6 +873,8 @@ func (c *Circuit) transientLoop(opts TranOpts, ns *newtonState, res *Result, pro
 						de.Time = t
 						de.Step = step
 					}
+					return res, err
+				} else if errors.As(err, &b) {
 					return res, err
 				}
 				if trap {
@@ -828,14 +905,6 @@ func (c *Circuit) transientLoop(opts TranOpts, ns *newtonState, res *Result, pro
 				dt /= 2
 				continue
 			}
-			// Commit element state. The loader is reused as-is: solveNewton
-			// leaves ld.x on the converged iterate and ld.xPrev on the
-			// previous step's solution, exactly what accept needs.
-			ld.x = ns.x
-			ld.xPrev = ns.xPrev
-			for _, e := range c.elems {
-				e.accept(ld)
-			}
 			t += dt
 			if beSteps > 0 {
 				beSteps--
@@ -850,9 +919,10 @@ func (c *Circuit) transientLoop(opts TranOpts, ns *newtonState, res *Result, pro
 			}
 		}
 		t = tTarget
-		record()
-		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == nSteps) {
-			if err := c.writeCheckpoint(opts, step, beSteps, ns, res); err != nil {
+		res.T = append(res.T, float64(len(res.T))*opts.DT)
+		st.sample(res.Signals)
+		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == to) {
+			if err := c.writeCheckpoint(opts, step, beSteps, st, res); err != nil {
 				return res, err
 			}
 		}
