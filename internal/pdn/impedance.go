@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rlcint/internal/batch"
+	"rlcint/internal/diag"
 	"rlcint/internal/runctl"
 	"rlcint/internal/sparse"
 )
@@ -32,19 +33,19 @@ func (o ImpedanceOpts) withDefaults(m *Mesh) (ImpedanceOpts, error) {
 		o.FStop = 1e9
 	}
 	if o.FStart <= 0 || o.FStop <= o.FStart {
-		return o, fmt.Errorf("pdn: bad frequency range [%g, %g]", o.FStart, o.FStop)
+		return o, diag.Domainf("pdn.ImpedanceOpts", "bad frequency range [%g, %g]", o.FStart, o.FStop)
 	}
 	if o.Points == 0 {
 		o.Points = 60
 	}
 	if o.Points < 2 {
-		return o, fmt.Errorf("pdn: impedance sweep needs at least 2 points, got %d", o.Points)
+		return o, diag.Domainf("pdn.ImpedanceOpts", "impedance sweep needs at least 2 points, got %d", o.Points)
 	}
 	if o.ProbeX < 0 || o.ProbeY < 0 || (o.ProbeX == 0 && o.ProbeY == 0) {
 		o.ProbeX, o.ProbeY = m.Spec.HotX, m.Spec.HotY
 	}
 	if o.ProbeX >= m.Spec.NX || o.ProbeY >= m.Spec.NY {
-		return o, fmt.Errorf("pdn: probe (%d,%d) outside grid %dx%d",
+		return o, diag.Domainf("pdn.ImpedanceOpts", "probe (%d,%d) outside grid %dx%d",
 			o.ProbeX, o.ProbeY, m.Spec.NX, m.Spec.NY)
 	}
 	return o, nil

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 
+	"rlcint/internal/diag"
 	"rlcint/internal/sparse"
 	"rlcint/internal/tech"
 )
@@ -64,20 +65,20 @@ type Spec struct {
 // withDefaults validates s and fills defaulted fields.
 func (s Spec) withDefaults() (Spec, error) {
 	if s.NX < 2 || s.NY < 2 {
-		return s, fmt.Errorf("pdn: grid must be at least 2x2, got %dx%d", s.NX, s.NY)
+		return s, diag.Domainf("pdn.Spec", "grid must be at least 2x2, got %dx%d", s.NX, s.NY)
 	}
 	if s.Tech == "" {
 		s.Tech = "100nm"
 	}
 	node, err := tech.ByName(s.Tech)
 	if err != nil {
-		return s, err
+		return s, diag.Domainf("pdn.Spec", "%v", err)
 	}
 	if s.PitchMM == 0 {
 		s.PitchMM = 0.1
 	}
 	if s.PitchMM < 0 {
-		return s, fmt.Errorf("pdn: negative pitch %g mm", s.PitchMM)
+		return s, diag.Domainf("pdn.Spec", "negative pitch %g mm", s.PitchMM)
 	}
 	if s.LPerM == 0 {
 		s.LPerM = tech.WorstCaseInductance
@@ -89,7 +90,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		s.BumpNY = 4
 	}
 	if s.BumpNX < 1 || s.BumpNY < 1 || s.BumpNX > s.NX || s.BumpNY > s.NY {
-		return s, fmt.Errorf("pdn: bump array %dx%d does not fit grid %dx%d",
+		return s, diag.Domainf("pdn.Spec", "bump array %dx%d does not fit grid %dx%d",
 			s.BumpNX, s.BumpNY, s.NX, s.NY)
 	}
 	if s.RBump == 0 {
@@ -99,7 +100,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		s.LBump = 72e-12
 	}
 	if s.RBump < 0 || s.LBump < 0 {
-		return s, fmt.Errorf("pdn: negative bump impedance (R=%g, L=%g)", s.RBump, s.LBump)
+		return s, diag.Domainf("pdn.Spec", "negative bump impedance (R=%g, L=%g)", s.RBump, s.LBump)
 	}
 	seg := s.PitchMM * tech.MM
 	if s.CNode == 0 {
@@ -115,7 +116,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		s.HotX, s.HotY = s.NX/2, s.NY/2
 	}
 	if s.HotX < 0 || s.HotX >= s.NX || s.HotY < 0 || s.HotY >= s.NY {
-		return s, fmt.Errorf("pdn: hotspot (%d,%d) outside grid %dx%d", s.HotX, s.HotY, s.NX, s.NY)
+		return s, diag.Domainf("pdn.Spec", "hotspot (%d,%d) outside grid %dx%d", s.HotX, s.HotY, s.NX, s.NY)
 	}
 	if s.VDD == 0 {
 		s.VDD = node.VDD

@@ -1,10 +1,12 @@
 package pdn
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
 
+	"rlcint/internal/diag"
 	"rlcint/internal/runctl"
 	"rlcint/internal/sparse"
 )
@@ -92,21 +94,29 @@ func denseImpedance(m *Mesh, f float64) float64 {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(Spec{NX: 1, NY: 5}); err == nil {
-		t.Error("1-wide grid accepted")
-	}
-	if _, err := Build(Spec{NX: 4, NY: 4, Tech: "13nm"}); err == nil {
-		t.Error("unknown tech accepted")
-	}
-	if _, err := Build(Spec{NX: 4, NY: 4, BumpNX: 9}); err == nil {
-		t.Error("bump array larger than grid accepted")
-	}
-	if _, err := Build(Spec{NX: 4, NY: 4, HotX: 7, HotY: 1}); err == nil {
-		t.Error("hotspot outside grid accepted")
+	for name, s := range map[string]Spec{
+		"1-wide grid":                 {NX: 1, NY: 5},
+		"unknown tech":                {NX: 4, NY: 4, Tech: "13nm"},
+		"bump array larger than grid": {NX: 4, NY: 4, BumpNX: 9},
+		"hotspot outside grid":        {NX: 4, NY: 4, HotX: 7, HotY: 1},
+	} {
+		if _, err := Build(s); !errors.Is(err, diag.ErrDomain) {
+			t.Errorf("%s: err = %v, want a diag domain error", name, err)
+		}
 	}
 	m, err := Build(testSpec(8, 6))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for name, o := range map[string]ImpedanceOpts{
+		"reversed range": {FStart: 1e9, FStop: 1e6},
+		"negative start": {FStart: -5},
+		"one point":      {Points: 1},
+		"probe off grid": {ProbeX: 9, ProbeY: 2},
+	} {
+		if _, err := m.ImpedanceProfile(nil, o); !errors.Is(err, diag.ErrDomain) {
+			t.Errorf("%s: err = %v, want a diag domain error", name, err)
+		}
 	}
 	if m.N != 48 {
 		t.Errorf("N = %d, want 48", m.N)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -16,11 +17,12 @@ import (
 // are out of scope for a single request anyway.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON decodes the request body into v strictly: unknown fields,
-// trailing garbage, oversized bodies, and non-JSON all fail with a typed
-// *badRequest (→ 400). JSON cannot carry NaN/±Inf literals, and Go's decoder
-// rejects out-of-range numbers, so decoded floats are always finite — the
-// facade's ErrDomain validation backstops anything that slips through.
+// decodeJSON decodes the request body into v, a pointer to a struct,
+// strictly: unknown fields, trailing garbage, oversized bodies, non-JSON, and
+// non-finite floats all fail with a typed *badRequest (→ 400). JSON cannot
+// carry NaN/±Inf literals, and Go's decoder rejects out-of-range numbers, so
+// decoded floats are always finite — checkFinite and the facade's ErrDomain
+// validation backstop anything that slips through.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
@@ -35,7 +37,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := dec.Decode(&struct{}{}); err != io.EOF {
 		return badRequestf("trailing data after JSON body")
 	}
-	return nil
+	return checkFinite(reflect.ValueOf(v).Elem())
 }
 
 // canonF renders a float for canonical cache keys: the exact bit pattern, so
@@ -44,28 +46,40 @@ func canonF(v float64) string {
 	return strconv.FormatUint(math.Float64bits(v), 16)
 }
 
-// reqFinite rejects non-finite request floats with a 400 before they reach a
-// solver (defense in depth; strict JSON decoding should make this moot).
-func reqFinite(pairs ...any) error {
-	for i := 0; i+1 < len(pairs); i += 2 {
-		v := pairs[i+1].(float64)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return badRequestf("%s=%g is not finite", pairs[i], v)
+// checkFinite rejects a non-finite float field of struct v, embedded structs
+// included, with a 400 before it reaches a solver (defense in depth; strict
+// JSON decoding should make this moot). decodeJSON runs it on every request,
+// so no request type keeps a list of its float fields.
+func checkFinite(v reflect.Value) error {
+	for i := 0; i < v.NumField(); i++ {
+		f, fv := v.Type().Field(i), v.Field(i)
+		switch {
+		case f.Anonymous && fv.Kind() == reflect.Struct:
+			if err := checkFinite(fv); err != nil {
+				return err
+			}
+		case f.IsExported() && fv.Kind() == reflect.Float64:
+			if x := fv.Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+				return badRequestf("%s=%g is not finite", name, x)
+			}
 		}
 	}
 	return nil
 }
 
-// techOf resolves the technology node named in a request.
-func techOf(name string) (tech.Node, error) {
+// lookupTech resolves the technology node a request names into *node, the
+// request's unexported node field (never decoded, keyed, or forwarded).
+func lookupTech(name string, node *tech.Node) error {
 	if name == "" {
-		return tech.Node{}, badRequestf("missing technology (want one of: 250nm, 100nm, 100nm-eps250)")
+		return badRequestf("missing technology (want one of: 250nm, 100nm, 100nm-eps250)")
 	}
 	t, err := tech.ByName(name)
 	if err != nil {
-		return tech.Node{}, badRequestf("%v", err)
+		return badRequestf("%v", err)
 	}
-	return t, nil
+	*node = t
+	return nil
 }
 
 // threshold normalizes the delay-threshold field: 0 means the paper's 50%.
@@ -88,9 +102,10 @@ type optimizeReq struct {
 	// estimate. Not part of the cache key — it changes failure handling,
 	// never the result.
 	NoDegraded bool `json:"no_degraded,omitempty"`
+	node       tech.Node
 }
 
-func (q *optimizeReq) validate() error { return reqFinite("l", q.L, "f", q.F) }
+func (q *optimizeReq) validate(*Config) error { return lookupTech(q.Tech, &q.node) }
 
 func (q *optimizeReq) key() string {
 	return "optimize|" + q.Tech + "|" + canonF(q.L) + "|" + canonF(threshold(q.F))
@@ -105,11 +120,10 @@ type delayReq struct {
 	F          float64 `json:"f"`
 	TimeoutMS  int64   `json:"timeout_ms,omitempty"`
 	NoDegraded bool    `json:"no_degraded,omitempty"` // see optimizeReq.NoDegraded
+	node       tech.Node
 }
 
-func (q *delayReq) validate() error {
-	return reqFinite("l", q.L, "h", q.H, "k", q.K, "f", q.F)
-}
+func (q *delayReq) validate(*Config) error { return lookupTech(q.Tech, &q.node) }
 
 func (q *delayReq) key() string {
 	return "delay|" + q.Tech + "|" + canonF(q.L) + "|" + canonF(q.H) + "|" +
@@ -125,11 +139,10 @@ type planReq struct {
 	Length     float64 `json:"length"` // total net length, m
 	TimeoutMS  int64   `json:"timeout_ms,omitempty"`
 	NoDegraded bool    `json:"no_degraded,omitempty"` // see optimizeReq.NoDegraded
+	node       tech.Node
 }
 
-func (q *planReq) validate() error {
-	return reqFinite("l", q.L, "f", q.F, "length", q.Length)
-}
+func (q *planReq) validate(*Config) error { return lookupTech(q.Tech, &q.node) }
 
 func (q *planReq) key() string {
 	return "plan|" + q.Tech + "|" + canonF(q.L) + "|" + canonF(threshold(q.F)) + "|" + canonF(q.Length)
@@ -138,7 +151,10 @@ func (q *planReq) key() string {
 // rcReq drives /v1/optimize-rc: the closed-form Elmore/RC optimum.
 type rcReq struct {
 	Tech string `json:"tech"`
+	node tech.Node
 }
+
+func (q *rcReq) validate(*Config) error { return lookupTech(q.Tech, &q.node) }
 
 func (q *rcReq) key() string { return "optimize-rc|" + q.Tech }
 
@@ -149,12 +165,10 @@ type lcritReq struct {
 	L    float64 `json:"l"`
 	H    float64 `json:"h"`
 	K    float64 `json:"k"`
+	node tech.Node
 }
 
-func (q *lcritReq) validate() error {
-	if err := reqFinite("l", q.L, "h", q.H, "k", q.K); err != nil {
-		return err
-	}
+func (q *lcritReq) validate(*Config) error {
 	// Eq. (4) divides by the stage's loading (c·h²/2 + cl·h) and sizes the
 	// driver as R0/k: a non-positive geometry yields NaN/Inf, which has no
 	// JSON encoding — reject it as the caller's error instead.
@@ -164,7 +178,7 @@ func (q *lcritReq) validate() error {
 	if q.K <= 0 {
 		return badRequestf("k=%g must be positive", q.K)
 	}
-	return nil
+	return lookupTech(q.Tech, &q.node)
 }
 
 func (q *lcritReq) key() string {
@@ -183,14 +197,15 @@ type sweepReq struct {
 	Workers   int       `json:"workers,omitempty"`
 	TileSize  int       `json:"tile_size,omitempty"`
 	TimeoutMS int64     `json:"timeout_ms,omitempty"`
+	node      tech.Node
 }
 
-func (q *sweepReq) validate(maxPoints int) error {
+func (q *sweepReq) validate(cfg *Config) error {
 	if len(q.Ls) == 0 {
 		return badRequestf("empty inductance grid")
 	}
-	if len(q.Ls) > maxPoints {
-		return badRequestf("grid of %d points exceeds the per-request limit of %d", len(q.Ls), maxPoints)
+	if len(q.Ls) > cfg.MaxSweepPoints {
+		return badRequestf("grid of %d points exceeds the per-request limit of %d", len(q.Ls), cfg.MaxSweepPoints)
 	}
 	for i, l := range q.Ls {
 		if math.IsNaN(l) || math.IsInf(l, 0) {
@@ -200,7 +215,7 @@ func (q *sweepReq) validate(maxPoints int) error {
 	if q.Workers < 0 || q.TileSize < 0 {
 		return badRequestf("workers and tile_size must be non-negative")
 	}
-	return reqFinite("f", q.F)
+	return lookupTech(q.Tech, &q.node)
 }
 
 // keyBase canonicalizes everything that decides sweep results except the
@@ -237,16 +252,14 @@ func chunkKey(base string, ls []float64) string {
 type oxideReq struct {
 	Tech       string  `json:"tech"`
 	OvershootV float64 `json:"overshoot_v"` // measured overshoot above VDD, V
+	node       tech.Node
 }
 
-func (q *oxideReq) validate() error {
-	if err := reqFinite("overshoot_v", q.OvershootV); err != nil {
-		return err
-	}
+func (q *oxideReq) validate(*Config) error {
 	if q.OvershootV < 0 {
 		return badRequestf("overshoot_v must be non-negative, got %g", q.OvershootV)
 	}
-	return nil
+	return lookupTech(q.Tech, &q.node)
 }
 
 func (q *oxideReq) key() string { return "check-oxide|" + q.Tech + "|" + canonF(q.OvershootV) }
@@ -257,10 +270,7 @@ type wireReq struct {
 	RMSJ  float64 `json:"rms_j"`  // rms current density, A/m²
 }
 
-func (q *wireReq) validate() error {
-	if err := reqFinite("peak_j", q.PeakJ, "rms_j", q.RMSJ); err != nil {
-		return err
-	}
+func (q *wireReq) validate(*Config) error {
 	if q.PeakJ < 0 || q.RMSJ < 0 || (q.PeakJ > 0 && q.RMSJ > q.PeakJ) {
 		return badRequestf("implausible densities peak_j=%g rms_j=%g", q.PeakJ, q.RMSJ)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"time"
 
 	"rlcint/internal/diag"
 )
@@ -55,115 +54,47 @@ type degradedResp struct {
 	Report   []reportAttempt `json:"report,omitempty"`
 }
 
-// resilient describes one unary solver endpoint's pipeline inputs: the
-// cache key, the breaker region ("" → no breaker), the compute closure, and
-// the closed-form estimate used for degraded answers (nil → endpoint has no
-// degraded mode and fails like before).
-type resilient struct {
-	key        string
-	region     string
-	timeout    time.Duration
-	noDegraded bool // request opted out via no_degraded
-	compute    func(ctx context.Context) (any, error)
-	estimate   func() (any, error)
-
-	// fwdPath/fwdReq describe the request for fleet forwarding: the endpoint
-	// path and the decoded (canonicalized) request to re-marshal for the
-	// owner shard. Empty fwdPath → never forwarded (sweeps stream locally).
-	fwdPath string
-	fwdReq  any
-}
-
-// serveResilient is the resilient unary pipeline: cache lookup → breaker
-// gate → singleflight coalescing → admission control → compute → marshal →
-// cache fill, with failures degraded to the closed-form estimate whenever
-// one exists and the client did not opt out. Breaker results are recorded
-// once per computation, inside the flight, so coalesced bursts count as one
-// attempt — and exactly once per closure run, so a half-open probe always
-// resolves: admission rejects record an ineligible failure, a panic
-// unwinding out of compute records via the deferred catch-all, and a probe
-// that coalesced onto an already-recorded flight (its closure never ran)
-// is released with probeAbort.
-func (s *Server) serveResilient(w http.ResponseWriter, r *http.Request, spec resilient) {
+// serveResilient is the unary pipeline: cache lookup → fleet forward →
+// breaker gate → fill → marshal, with failures degraded to the closed-form
+// estimate whenever one exists and the client did not opt out.
+func (s *Server) serveResilient(w http.ResponseWriter, r *http.Request, rt route, q request, spec reply) {
 	if e, ok := s.cacheGet(spec.key); ok {
-		s.metrics.xcache.Add("hit", 1)
 		writeCachedBody(w, e, "hit")
 		return
 	}
 	// A local miss in fleet mode first tries the key's ring owner, whose
 	// cache is warm for this key no matter which instance the client hit.
 	// Any forwarding failure falls through to the local pipeline below.
-	if s.tryForward(w, r, &spec) {
+	if rt.forward && s.tryForward(w, r, rt.path, q, spec.key) {
 		return
 	}
 	var probe uint64
 	if spec.region != "" {
 		ok, p := s.breakers.allow(spec.region)
 		if !ok {
-			s.degradeOrError(w, errBreakerOpen, nil, spec)
+			s.degradeOrError(w, errBreakerOpen, spec)
 			return
 		}
 		probe = p
 	}
-	e, err, shared := s.flights.do(r.Context(), spec.key, spec.timeout, func(ctx context.Context) (*cached, error) {
-		recorded := spec.region == ""
-		record := func(ok, eligible bool, cause string) {
-			recorded = true
-			s.breakers.onResult(spec.region, ok, eligible, cause)
-		}
-		// The only path that can skip the explicit record calls below is a
-		// panic out of spec.compute (contained one layer up, in the flight);
-		// fold it in here so it still counts and a probe never wedges.
-		defer func() {
-			if !recorded {
-				record(false, true, "panic")
-			}
-		}()
-		if err := s.limiter.acquire(ctx); err != nil {
-			if !recorded {
-				record(false, false, mapError(err).Kind)
-			}
-			return nil, err
-		}
-		defer s.limiter.release()
-		v, err := spec.compute(ctx)
-		var body []byte
-		if err == nil {
-			body, err = json.Marshal(v)
-		}
-		if !recorded {
-			cause := ""
+	e, src, err := s.fill(r.Context(), spec.key, spec.region, "application/json", s.timeoutFor(spec.timeoutMS),
+		func(ctx context.Context) ([]byte, error) {
+			v, err := spec.compute(ctx)
 			if err != nil {
-				cause = mapError(err).Kind
+				return nil, err
 			}
-			record(err == nil, breakerEligible(err), cause)
-		}
-		if err != nil {
-			return nil, err
-		}
-		e := &cached{key: spec.key, ctype: "application/json", body: append(body, '\n')}
-		s.cachePut(e)
-		return e, nil
-	})
-	if probe != 0 && shared {
+			body, err := json.Marshal(v)
+			return append(body, '\n'), err
+		})
+	if probe != 0 && src == "coalesced" {
 		// This request held the probe slot but joined an existing flight, so
 		// its own closure never ran. The leader's record belongs to its own
 		// computation (and may predate the probe grant); release the slot so
 		// the next caller can probe instead of the region wedging degraded.
 		s.breakers.probeAbort(spec.region, probe)
 	}
-	src := "miss"
-	if shared {
-		src = "coalesced"
-	}
-	s.metrics.xcache.Add(src, 1)
 	if err != nil {
-		var se *solveError
-		var rep *diag.Report
-		if errors.As(err, &se) {
-			rep = se.report
-		}
-		s.degradeOrError(w, err, rep, spec)
+		s.degradeOrError(w, err, spec)
 		return
 	}
 	writeCachedBody(w, e, src)
@@ -175,7 +106,7 @@ func (s *Server) serveResilient(w http.ResponseWriter, r *http.Request, spec res
 // ("degraded": true) and an X-Degraded header carrying the failure kind;
 // they are never cached, so a later healthy solve can still fill the cache
 // with the exact answer.
-func (s *Server) degradeOrError(w http.ResponseWriter, cause error, rep *diag.Report, spec resilient) {
+func (s *Server) degradeOrError(w http.ResponseWriter, cause error, spec reply) {
 	ae := s.mapErrorWithRetry(cause, spec.region)
 	if spec.estimate != nil && !spec.noDegraded && !s.cfg.DisableDegraded && degradable(cause) {
 		if est, eerr := spec.estimate(); eerr == nil {
@@ -186,7 +117,7 @@ func (s *Server) degradeOrError(w http.ResponseWriter, cause error, rep *diag.Re
 				Degraded: true,
 				Reason:   ae.Kind,
 				Estimate: est,
-				Report:   reportOf(rep),
+				Report:   reportOf(cause),
 			})
 			return
 		}

@@ -74,15 +74,10 @@ func (e *solveError) Unwrap() error { return e.err }
 //	504 deadline / budget       per-request deadline or compute budget hit
 //	500 panic / internal        contained panic or unclassified failure
 func mapError(err error) apiError {
-	var rep *diag.Report
-	var se *solveError
-	if errors.As(err, &se) {
-		rep = se.report
-	}
 	kindOf := func(status int, kind string) apiError {
 		ae := apiError{Status: status, Kind: kind, Message: err.Error()}
 		if status == http.StatusUnprocessableEntity {
-			ae.Report = reportOf(rep)
+			ae.Report = reportOf(err)
 		}
 		return ae
 	}
@@ -149,12 +144,15 @@ func (s *Server) queueRetryAfter() time.Duration {
 	return d
 }
 
-func reportOf(rep *diag.Report) []reportAttempt {
-	if rep == nil || len(rep.Attempts) == 0 {
+// reportOf serializes the recovery-ladder report a failure carries (see
+// solveError); nil when it carries none.
+func reportOf(err error) []reportAttempt {
+	var se *solveError
+	if !errors.As(err, &se) || se.report == nil || len(se.report.Attempts) == 0 {
 		return nil
 	}
-	out := make([]reportAttempt, 0, len(rep.Attempts))
-	for _, a := range rep.Attempts {
+	out := make([]reportAttempt, 0, len(se.report.Attempts))
+	for _, a := range se.report.Attempts {
 		ra := reportAttempt{
 			Ladder:  a.Ladder,
 			Rung:    a.Rung,

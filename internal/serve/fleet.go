@@ -40,8 +40,8 @@ func (g *peerGate) Result(addr string, ok bool, cause string) {
 // the key, hop cap reached, no healthy candidates, forward budget exhausted
 // — returns false and the caller computes locally: topology can cost a
 // forward, never an answer.
-func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, spec *resilient) bool {
-	if s.fleet == nil || spec.fwdPath == "" {
+func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, path string, q request, key string) bool {
+	if s.fleet == nil {
 		return false
 	}
 	hops := fleet.HopsFrom(r.Header)
@@ -51,18 +51,18 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, spec *resili
 		s.metrics.fleetOps.Add("hop-capped", 1)
 		return false
 	}
-	cands := s.fleet.Route(spec.key)
+	cands := s.fleet.Route(key)
 	if len(cands) == 0 {
 		return false // we own the key, or every candidate is down
 	}
-	body, err := json.Marshal(spec.fwdReq)
+	body, err := json.Marshal(q)
 	if err != nil {
 		return false
 	}
-	pr, err := s.fleet.Forward(r.Context(), cands, spec.fwdPath, body, hops+1)
+	pr, err := s.fleet.Forward(r.Context(), cands, path, body, hops+1)
 	if err != nil {
 		s.metrics.fleetOps.Add("fallback-local", 1)
-		s.cfg.Logger.Printf("fleet: forward %s failed, computing locally: %v", spec.fwdPath, err)
+		s.cfg.Logger.Printf("fleet: forward %s failed, computing locally: %v", path, err)
 		return false
 	}
 	s.metrics.fleetOps.Add("forwarded", 1)

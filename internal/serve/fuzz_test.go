@@ -34,11 +34,13 @@ func fuzzHandler() http.Handler {
 	return fuzzSrv.Handler()
 }
 
-var fuzzEndpoints = []string{
-	"/v1/optimize", "/v1/delay", "/v1/plan", "/v1/optimize-rc",
-	"/v1/lcrit", "/v1/sweep", "/v1/check/oxide", "/v1/check/wire",
-	"/v1/plan-power", "/v1/pareto",
-}
+// fuzzEndpoints is every POST route, in table order.
+var fuzzEndpoints = func() (paths []string) {
+	for _, rt := range routeTable {
+		paths = append(paths, rt.path)
+	}
+	return paths
+}()
 
 // FuzzDecode throws arbitrary bodies at every endpoint decoder. The
 // invariants: the server never panics, malformed JSON is always a plain 400,
@@ -66,6 +68,15 @@ func FuzzDecode(f *testing.F) {
 		`{"tech":"100nm","l":2e-6,"length":0.02,"alpha":0,"freq":0,"points":1,"max_weight":-3}`,
 		`{"tech":"250nm","l":1e-6,"alpha":1,"freq":3e9,"points":3,"max_weight":0.5}`,
 		`{"tech":"100nm","ls":[0],"workers":-1,"tile_size":-9,"timeout_ms":-5}`,
+		// PDN seeds stay cheap: no valid mesh above 64².
+		`{"nx":8,"ny":8,"f_start":1e9,"f_stop":1e6}`,
+		`{"nx":8,"ny":8,"f_start":-5}`,
+		`{"nx":8,"ny":8,"points":1}`,
+		`{"nx":8,"ny":8,"probe_x":9,"probe_y":2}`,
+		`{"nx":1,"ny":8}`,
+		`{"nx":1024,"ny":257}`,
+		`{"nx":8,"ny":8,"workers":-1}`,
+		`{"nx":8,"ny":8,"tech":"250nm","points":4}`,
 		`[1,2,3]`,
 		`"just a string"`,
 		`{"tech":`,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"time"
 
 	"rlcint/internal/core"
 	"rlcint/internal/diag"
@@ -55,12 +54,17 @@ func stageOf(node tech.Node, l, h, k float64) tline.Stage {
 }
 
 // cacheGet/cachePut respect the cache-disabled configuration (CacheEntries
-// < 0) so benchmarks and tests can exercise the cold path.
+// < 0) so benchmarks and tests can exercise the cold path. cacheGet counts
+// its hits; fill counts every miss.
 func (s *Server) cacheGet(key string) (*cached, bool) {
 	if s.cfg.CacheEntries < 0 {
 		return nil, false
 	}
-	return s.cache.get(key)
+	e, ok := s.cache.get(key)
+	if ok {
+		s.metrics.xcache.Add("hit", 1)
+	}
+	return e, ok
 }
 
 func (s *Server) cachePut(e *cached) {
@@ -75,91 +79,59 @@ func writeCachedBody(w http.ResponseWriter, e *cached, src string) {
 	_, _ = w.Write(e.body)
 }
 
-// serveCached is the plain unary-endpoint pipeline — cache lookup →
-// singleflight coalescing → admission control → compute → marshal → cache
-// fill — for endpoints with no breaker region and no degraded mode. It is
-// serveResilient with the resilience features switched off. These endpoints
-// are closed-form (microseconds), so they are never fleet-forwarded: a hop
-// would cost more than the compute.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
-	timeout time.Duration, compute func(ctx context.Context) (any, error)) {
-	s.serveResilient(w, r, resilient{key: key, timeout: timeout, compute: compute})
-}
-
-// decodeOrFail decodes + validates; on failure it writes the 400 and
-// reports false.
-func (s *Server) decodeOrFail(w http.ResponseWriter, r *http.Request, q any, validate func() error) bool {
-	if err := decodeJSON(w, r, q); err != nil {
-		writeError(w, mapError(err))
-		return false
-	}
-	if validate != nil {
-		if err := validate(); err != nil {
-			writeError(w, mapError(err))
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var q optimizeReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
+// ladder runs one optimizer solve with a fresh recovery-ladder report and
+// the server's fault injector, folding the report into /metrics and
+// attaching it to a failure so coalesced followers render the same 422.
+func (s *Server) ladder(p core.Problem, solve func(core.Problem) (any, error)) (any, error) {
+	rep := &diag.Report{}
+	p.Report = rep
+	p.Injector = s.cfg.Injector
+	v, err := solve(p)
+	s.metrics.recordLadder(rep)
 	if err != nil {
-		writeError(w, mapError(err))
-		return
+		return nil, &solveError{err: err, report: rep}
 	}
-	s.serveResilient(w, r, resilient{
+	return v, nil
+}
+
+// workers clamps a request's worker hint to the server's cap.
+func (s *Server) workers(hint int) int {
+	if hint <= 0 || hint > s.cfg.MaxWorkers {
+		return s.cfg.MaxWorkers
+	}
+	return hint
+}
+
+func (q *optimizeReq) plan(s *Server) reply {
+	return reply{
 		key:        q.key(),
 		region:     regionOf("optimize", q.Tech, q.L),
-		timeout:    s.timeoutFor(q.TimeoutMS),
+		timeoutMS:  q.TimeoutMS,
 		noDegraded: q.NoDegraded,
-		fwdPath:    "/v1/optimize",
-		fwdReq:     &q,
 		compute: func(ctx context.Context) (any, error) {
-			rep := &diag.Report{}
-			p := problemOf(node, q.L, q.F)
-			p.Report = rep
-			p.Injector = s.cfg.Injector
-			opt, err := core.OptimizeCtx(ctx, p)
-			s.metrics.recordLadder(rep)
-			if err != nil {
-				return nil, &solveError{err: err, report: rep}
-			}
-			return optimumOf(opt), nil
+			return s.ladder(problemOf(q.node, q.L, q.F), func(p core.Problem) (any, error) {
+				opt, err := core.OptimizeCtx(ctx, p)
+				return optimumOf(opt), err
+			})
 		},
 		estimate: func() (any, error) {
-			est, err := core.EstimateOptimum(problemOf(node, q.L, q.F))
+			est, err := core.EstimateOptimum(problemOf(q.node, q.L, q.F))
 			if err != nil {
 				return nil, err
 			}
 			return optimumOf(est), nil
 		},
-	})
+	}
 }
 
-func (s *Server) handleDelay(w http.ResponseWriter, r *http.Request) {
-	var q delayReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	s.serveResilient(w, r, resilient{
+func (q *delayReq) plan(s *Server) reply {
+	return reply{
 		key:        q.key(),
 		region:     regionOf("delay", q.Tech, q.L),
-		timeout:    s.timeoutFor(q.TimeoutMS),
+		timeoutMS:  q.TimeoutMS,
 		noDegraded: q.NoDegraded,
-		fwdPath:    "/v1/delay",
-		fwdReq:     &q,
 		compute: func(ctx context.Context) (any, error) {
-			m, err := pade.FromStage(stageOf(node, q.L, q.H, q.K))
+			m, err := pade.FromStage(stageOf(q.node, q.L, q.H, q.K))
 			if err != nil {
 				return nil, err
 			}
@@ -170,13 +142,13 @@ func (s *Server) handleDelay(w http.ResponseWriter, r *http.Request) {
 			return delayResp{Tau: d.Tau, Iterations: d.Iterations}, nil
 		},
 		estimate: func() (any, error) {
-			tau, err := core.EstimateDelay(stageOf(node, q.L, q.H, q.K), q.F)
+			tau, err := core.EstimateDelay(stageOf(q.node, q.L, q.H, q.K), q.F)
 			if err != nil {
 				return nil, err
 			}
 			return delayResp{Tau: tau}, nil
 		},
-	})
+	}
 }
 
 // delayResp serializes a /v1/delay answer (Iterations is 0 for closed-form
@@ -186,43 +158,26 @@ type delayResp struct {
 	Iterations int     `json:"iterations"`
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var q planReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	s.serveResilient(w, r, resilient{
+func (q *planReq) plan(s *Server) reply {
+	return reply{
 		key:        q.key(),
 		region:     regionOf("plan", q.Tech, q.L),
-		timeout:    s.timeoutFor(q.TimeoutMS),
+		timeoutMS:  q.TimeoutMS,
 		noDegraded: q.NoDegraded,
-		fwdPath:    "/v1/plan",
-		fwdReq:     &q,
 		compute: func(ctx context.Context) (any, error) {
-			rep := &diag.Report{}
-			p := problemOf(node, q.L, q.F)
-			p.Report = rep
-			p.Injector = s.cfg.Injector
-			plan, err := core.PlanLineCtx(ctx, p, q.Length)
-			s.metrics.recordLadder(rep)
-			if err != nil {
-				return nil, &solveError{err: err, report: rep}
-			}
-			return planOf(plan), nil
+			return s.ladder(problemOf(q.node, q.L, q.F), func(p core.Problem) (any, error) {
+				plan, err := core.PlanLineCtx(ctx, p, q.Length)
+				return planOf(plan), err
+			})
 		},
 		estimate: func() (any, error) {
-			plan, err := core.EstimatePlan(problemOf(node, q.L, q.F), q.Length)
+			plan, err := core.EstimatePlan(problemOf(q.node, q.L, q.F), q.Length)
 			if err != nil {
 				return nil, err
 			}
 			return planOf(plan), nil
 		},
-	})
+	}
 }
 
 // planResp serializes a core.LinePlan.
@@ -244,27 +199,20 @@ func planOf(plan core.LinePlan) planResp {
 	}
 }
 
-func (s *Server) handleOptimizeRC(w http.ResponseWriter, r *http.Request) {
-	var q rcReq
-	if !s.decodeOrFail(w, r, &q, nil) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	s.serveCached(w, r, q.key(), s.cfg.DefaultTimeout, func(ctx context.Context) (any, error) {
-		rc, err := core.OptimizeRC(problemOf(node, 0, 0.5))
+func (q *rcReq) plan(*Server) reply {
+	return reply{key: q.key(), compute: func(context.Context) (any, error) {
+		rc, err := core.OptimizeRC(problemOf(q.node, 0, 0.5))
 		if err != nil {
 			return nil, err
 		}
 		return rcResp{H: rc.H, K: rc.K, Tau: rc.Tau}, nil
-	})
+	}}
 }
 
 // The remaining response shapes are named (rather than anonymous literals)
-// so snapshotSchema can fingerprint every type a cached body may hold.
+// so snapshotSchema can fingerprint every type a cached body may hold. The
+// reliability shapes mirror relia's reports field for field, so a report
+// converts directly and a new report field cannot go unserved silently.
 type rcResp struct {
 	H   float64 `json:"h"`
 	K   float64 `json:"k"`
@@ -293,59 +241,30 @@ type wireResp struct {
 	RMSOver    bool    `json:"rms_over"`
 }
 
-func (s *Server) handleLCrit(w http.ResponseWriter, r *http.Request) {
-	var q lcritReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	s.serveCached(w, r, q.key(), s.cfg.DefaultTimeout, func(ctx context.Context) (any, error) {
-		return lcritResp{LCrit: pade.LCrit(stageOf(node, q.L, q.H, q.K))}, nil
-	})
+func (q *lcritReq) plan(*Server) reply {
+	return reply{key: q.key(), compute: func(context.Context) (any, error) {
+		return lcritResp{LCrit: pade.LCrit(stageOf(q.node, q.L, q.H, q.K))}, nil
+	}}
 }
 
-func (s *Server) handleCheckOxide(w http.ResponseWriter, r *http.Request) {
-	var q oxideReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	s.serveCached(w, r, q.key(), s.cfg.DefaultTimeout, func(ctx context.Context) (any, error) {
-		rep, err := relia.CheckOxide(node, q.OvershootV)
+func (q *oxideReq) plan(*Server) reply {
+	return reply{key: q.key(), compute: func(context.Context) (any, error) {
+		rep, err := relia.CheckOxide(q.node, q.OvershootV)
 		if err != nil {
 			return nil, err
 		}
-		return oxideResp{
-			VGateMax: rep.VGateMax, Field: rep.Field, FieldVDD: rep.FieldVDD,
-			Margin: rep.Margin, OverLimit: rep.OverLimit, Critical: rep.Critical,
-		}, nil
-	})
+		return oxideResp(rep), nil
+	}}
 }
 
-func (s *Server) handleCheckWire(w http.ResponseWriter, r *http.Request) {
-	var q wireReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	s.serveCached(w, r, q.key(), s.cfg.DefaultTimeout, func(ctx context.Context) (any, error) {
+func (q *wireReq) plan(*Server) reply {
+	return reply{key: q.key(), compute: func(context.Context) (any, error) {
 		rep, err := relia.CheckWire(q.PeakJ, q.RMSJ)
 		if err != nil {
 			return nil, err
 		}
-		return wireResp{
-			PeakJ: rep.PeakJ, RMSJ: rep.RMSJ,
-			PeakMargin: rep.PeakMargin, RMSMargin: rep.RMSMargin,
-			PeakOver: rep.PeakOver, RMSOver: rep.RMSOver,
-		}, nil
-	})
+		return wireResp(rep), nil
+	}}
 }
 
 // sweepPointLine is one NDJSON record of a streamed sweep.
@@ -377,121 +296,34 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(f))
 }
 
-// handleSweep streams the Section 3 study as NDJSON: one "point" record per
-// grid point, a final "done" record, or — after the longest error-free
-// prefix — a single "error" record mirroring the library's partial-result
-// contract. The grid is split into fixed chunks; each chunk runs on the
-// batched engine and is independently cached and coalesced, so concurrent
-// identical sweeps share work chunk by chunk and both stream as chunks
-// complete. Sweeps always run locally, even in fleet mode: a sweep's chunks
-// would shard across many owners, and relaying a partially failed stream
-// through another instance would blur the terminal-record contract.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var q sweepReq
-	if !s.decodeOrFail(w, r, &q, func() error { return q.validate(s.cfg.MaxSweepPoints) }) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	workers := q.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
+// plan splits the Section 3 study into fixed chunks, streamed as NDJSON:
+// one "point" record per grid point. Each chunk runs on the batched engine
+// and is independently cached and coalesced, so concurrent identical sweeps
+// share work chunk by chunk and both stream as chunks complete.
+func (q *sweepReq) plan(s *Server) reply {
 	if q.Warm && q.TileSize == 0 {
 		q.TileSize = 8 // the engine's warm default, pinned for the cache key
 	}
-	opts := core.SweepOptions{Workers: workers, TileSize: q.TileSize, Warm: q.Warm, Injector: s.cfg.Injector}
-	deadline := time.Now().Add(s.timeoutFor(q.TimeoutMS))
-	reqCtx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
+	opts := core.SweepOptions{Workers: s.workers(q.Workers), TileSize: q.TileSize, Warm: q.Warm, Injector: s.cfg.Injector}
 	base := q.keyBase()
-
-	flusher, _ := w.(http.Flusher)
-	wrote, points := false, 0
+	spec := reply{timeoutMS: q.TimeoutMS, tech: q.node.Name}
 	for lo := 0; lo < len(q.Ls); lo += sweepChunk {
-		hi := min(lo+sweepChunk, len(q.Ls))
-		ls := q.Ls[lo:hi]
-		key := chunkKey(base, ls)
-		e, ok := s.cacheGet(key)
-		src := "hit"
-		if !ok {
-			var err error
-			var shared bool
-			e, err, shared = s.flights.do(reqCtx, key, time.Until(deadline), func(ctx context.Context) (*cached, error) {
-				if err := s.limiter.acquire(ctx); err != nil {
-					return nil, err
-				}
-				defer s.limiter.release()
-				pts, err := core.SweepBatchCtx(ctx, opts, node, ls, q.F)
-				if err != nil {
-					return nil, err
-				}
-				var body []byte
-				for _, pt := range pts {
-					line, err := json.Marshal(sweepPointLine{
-						Type: "point", L: jsonFloat(pt.L),
-						H: jsonFloat(pt.Opt.H), K: jsonFloat(pt.Opt.K), Tau: jsonFloat(pt.Opt.Tau), PerUnit: jsonFloat(pt.Opt.PerUnit),
-						LCrit: jsonFloat(pt.LCrit), HRatio: jsonFloat(pt.HRatio), KRatio: jsonFloat(pt.KRatio),
-						DelayRatio: jsonFloat(pt.DelayRatio), Penalty: jsonFloat(pt.Penalty),
-						Method: string(pt.Opt.Method),
-					})
-					if err != nil {
-						return nil, err
-					}
-					body = append(body, line...)
-					body = append(body, '\n')
-				}
-				e := &cached{key: key, ctype: "application/x-ndjson", body: body}
-				s.cachePut(e)
-				return e, nil
-			})
-			src = "miss"
-			if shared {
-				src = "coalesced"
-			}
+		ls := q.Ls[lo:min(lo+sweepChunk, len(q.Ls))]
+		spec.chunks = append(spec.chunks, chunk{key: chunkKey(base, ls), produce: func(ctx context.Context) ([]byte, error) {
+			pts, err := core.SweepBatchCtx(ctx, opts, q.node, ls, q.F)
 			if err != nil {
-				s.metrics.xcache.Add(src, 1)
-				ae := s.mapErrorWithRetry(err, "")
-				if !wrote {
-					writeError(w, ae)
-				} else {
-					// The terminal "error" record carries the error-free
-					// prefix length, so a consumer can tell how much of the
-					// stream is trustworthy without counting records.
-					line, _ := json.Marshal(struct {
-						Type    string `json:"type"`
-						Status  int    `json:"status"`
-						Kind    string `json:"kind"`
-						Message string `json:"message"`
-						Points  int    `json:"points"`
-					}{"error", ae.Status, ae.Kind, ae.Message, points})
-					_, _ = w.Write(append(line, '\n'))
-					if flusher != nil {
-						flusher.Flush()
-					}
-				}
-				return
+				return nil, err
 			}
-		}
-		s.metrics.xcache.Add(src, 1)
-		if !wrote {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Header().Set("X-Cache", src)
-			wrote = true
-		}
-		_, _ = w.Write(e.body)
-		points += hi - lo
-		if flusher != nil {
-			flusher.Flush()
-		}
+			return ndjson(pts, func(pt core.SweepPoint) any {
+				return sweepPointLine{
+					Type: "point", L: jsonFloat(pt.L),
+					H: jsonFloat(pt.Opt.H), K: jsonFloat(pt.Opt.K), Tau: jsonFloat(pt.Opt.Tau), PerUnit: jsonFloat(pt.Opt.PerUnit),
+					LCrit: jsonFloat(pt.LCrit), HRatio: jsonFloat(pt.HRatio), KRatio: jsonFloat(pt.KRatio),
+					DelayRatio: jsonFloat(pt.DelayRatio), Penalty: jsonFloat(pt.Penalty),
+					Method: string(pt.Opt.Method),
+				}
+			})
+		}})
 	}
-	line, _ := json.Marshal(struct {
-		Type   string `json:"type"`
-		Points int    `json:"points"`
-		Tech   string `json:"tech"`
-	}{"done", points, node.Name})
-	_, _ = w.Write(append(line, '\n'))
+	return spec
 }

@@ -10,7 +10,6 @@ import (
 
 	"rlcint/internal/diag"
 	"rlcint/internal/sparse"
-	"rlcint/internal/spice"
 )
 
 // latencyBounds are the histogram bucket upper bounds. The last implicit
@@ -149,9 +148,29 @@ func expvarMapToGo(m *expvar.Map) map[string]int64 {
 	return out
 }
 
+// cacheStats and admissionStats are the gauges /metrics and /statusz share.
+func (s *Server) cacheStats() map[string]int64 {
+	hits, misses, evictions, entries, bytes := s.cache.stats()
+	return map[string]int64{
+		"hits":      hits,
+		"misses":    misses,
+		"evictions": evictions,
+		"entries":   entries,
+		"bytes":     bytes,
+	}
+}
+
+func (s *Server) admissionStats() map[string]int64 {
+	return map[string]int64{
+		"inflight":    int64(s.limiter.inflight()),
+		"capacity":    int64(s.limiter.capacity()),
+		"queue_depth": s.limiter.depth(),
+		"queue_full":  s.limiter.rejects(),
+	}
+}
+
 // handleMetrics renders the whole observability snapshot as one JSON object.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	hits, misses, evictions, entries, bytes := s.cache.stats()
 	m := s.metrics
 	m.mu.Lock()
 	lat := make(map[string]any, len(m.latency))
@@ -160,34 +179,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Unlock()
 	snap := map[string]any{
-		"uptime_s": time.Since(m.start).Seconds(),
-		"requests": expvarMapToGo(m.requests),
-		"statuses": expvarMapToGo(m.statuses),
-		"cache": map[string]int64{
-			"hits":      hits,
-			"misses":    misses,
-			"evictions": evictions,
-			"entries":   entries,
-			"bytes":     bytes,
-		},
-		"xcache": expvarMapToGo(m.xcache),
-		"admission": map[string]int64{
-			"inflight":    int64(s.limiter.inflight()),
-			"capacity":    int64(s.limiter.capacity()),
-			"queue_depth": s.limiter.depth(),
-			"queue_full":  s.limiter.rejects(),
-		},
-		"latency":  lat,
-		"ladder":   expvarMapToGo(m.ladder),
-		"degraded": expvarMapToGo(m.degraded),
-		"breaker":  expvarMapToGo(m.breaker),
-		"snapshot": expvarMapToGo(m.snapshotOps),
-		"sparse":   expvarMapToGo(m.sparseOps),
-		// Reduced-order fast-path engagement for transient-backed work, so
-		// operators can see whether traffic rides the reduction or falls
-		// back to the full solver. Process-wide counters (the model cache is
-		// process-wide too), not per-Server.
-		"mor": spice.ReductionStats(),
+		"uptime_s":  time.Since(m.start).Seconds(),
+		"requests":  expvarMapToGo(m.requests),
+		"statuses":  expvarMapToGo(m.statuses),
+		"cache":     s.cacheStats(),
+		"xcache":    expvarMapToGo(m.xcache),
+		"admission": s.admissionStats(),
+		"latency":   lat,
+		"ladder":    expvarMapToGo(m.ladder),
+		"degraded":  expvarMapToGo(m.degraded),
+		"breaker":   expvarMapToGo(m.breaker),
+		"snapshot":  expvarMapToGo(m.snapshotOps),
+		"sparse":    expvarMapToGo(m.sparseOps),
 	}
 	if s.fleet != nil {
 		fl := map[string]int64{"ready": 0}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"net/http"
 	"strconv"
 	"strings"
 
@@ -27,7 +26,7 @@ type pdnIRReq struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-func (q *pdnIRReq) validate() error { return validatePDNSpec(&q.Spec) }
+func (q *pdnIRReq) validate(*Config) error { return validatePDNSpec(&q.Spec) }
 
 // validatePDNSpec canonicalizes the spec in place (so cache keys see the
 // defaulted form) and applies the server-side size cap.
@@ -76,11 +75,8 @@ type pdnImpReq struct {
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 }
 
-func (q *pdnImpReq) validate() error {
+func (q *pdnImpReq) validate(*Config) error {
 	if err := validatePDNSpec(&q.Spec); err != nil {
-		return err
-	}
-	if err := reqFinite("f_start", q.FStart, "f_stop", q.FStop); err != nil {
 		return err
 	}
 	if q.Points > maxPDNPoints {
@@ -108,15 +104,11 @@ func (q *pdnImpReq) key() string {
 	return b.String()
 }
 
-// handlePDNIR serves the DC IR-drop analysis. Large meshes route through the
+// plan serves the DC IR-drop analysis. Large meshes route through the
 // engine's CG path automatically; the solver stats land in the response and
 // the /metrics sparse counters.
-func (s *Server) handlePDNIR(w http.ResponseWriter, r *http.Request) {
-	var q pdnIRReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	s.serveCached(w, r, q.key(), s.timeoutFor(q.TimeoutMS), func(ctx context.Context) (any, error) {
+func (q *pdnIRReq) plan(s *Server) reply {
+	return reply{key: q.key(), timeoutMS: q.TimeoutMS, compute: func(context.Context) (any, error) {
 		m, err := pdn.Build(q.Spec)
 		if err != nil {
 			return nil, err
@@ -127,23 +119,15 @@ func (s *Server) handlePDNIR(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.recordSparse(res.Solver)
 		return res, nil
-	})
+	}}
 }
 
-// handlePDNImpedance serves the AC impedance-profile sweep through the
-// batched engine, with run control wired to the request context so an
-// abandoned sweep stops at its next frequency point.
-func (s *Server) handlePDNImpedance(w http.ResponseWriter, r *http.Request) {
-	var q pdnImpReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	workers := q.Workers
-	if workers <= 0 || workers > s.cfg.MaxWorkers {
-		workers = s.cfg.MaxWorkers
-	}
-	timeout := s.timeoutFor(q.TimeoutMS)
-	s.serveCached(w, r, q.key(), timeout, func(ctx context.Context) (any, error) {
+// plan serves the AC impedance-profile sweep through the batched engine,
+// with run control wired to the request context so an abandoned sweep stops
+// at its next frequency point.
+func (q *pdnImpReq) plan(s *Server) reply {
+	workers, timeout := s.workers(q.Workers), s.timeoutFor(q.TimeoutMS)
+	return reply{key: q.key(), timeoutMS: q.TimeoutMS, compute: func(ctx context.Context) (any, error) {
 		m, err := pdn.Build(q.Spec)
 		if err != nil {
 			return nil, err
@@ -153,5 +137,5 @@ func (s *Server) handlePDNImpedance(w http.ResponseWriter, r *http.Request) {
 			FStart: q.FStart, FStop: q.FStop, Points: q.Points,
 			ProbeX: q.ProbeX, ProbeY: q.ProbeY, Workers: workers,
 		})
-	})
+	}}
 }

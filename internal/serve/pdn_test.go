@@ -89,9 +89,18 @@ func TestPDNImpedanceEndpoint(t *testing.T) {
 		}
 	}
 
-	// Excessive point counts are rejected before any solve.
-	resp2, _ := postJSON(t, ts.URL+"/v1/pdn/impedance", `{"nx": 8, "ny": 8, "points": 100000}`)
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized sweep status %d, want 400", resp2.StatusCode)
+	// Excessive point counts are rejected before any solve; bad sweep
+	// options are the caller's domain error, never a 500.
+	for _, body := range []string{
+		`{"nx": 8, "ny": 8, "points": 100000}`,
+		`{"nx": 8, "ny": 8, "f_start": 1e9, "f_stop": 1e6}`,
+		`{"nx": 8, "ny": 8, "f_start": -5}`,
+		`{"nx": 8, "ny": 8, "points": 1}`,
+		`{"nx": 8, "ny": 8, "probe_x": 9, "probe_y": 2}`,
+	} {
+		resp, b := postJSON(t, ts.URL+"/v1/pdn/impedance", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, resp.StatusCode, b)
+		}
 	}
 }

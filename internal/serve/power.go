@@ -2,51 +2,60 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"strconv"
-	"time"
 
 	"rlcint/internal/core"
-	"rlcint/internal/diag"
 	"rlcint/internal/power"
+	"rlcint/internal/tech"
 )
 
 // This file serves the power-aware optimization subsystem: /v1/plan-power
 // (unary, cached/coalesced/breaker-protected, with a degraded-mode estimate)
 // and /v1/pareto (the delay/power front trace, streamed as NDJSON).
 
-// planPowerReq drives /v1/plan-power: a power-minimal mixed-scheme repeater
-// plan for a net of Length meters under a bounded delay penalty. Alpha and
-// Freq are the workload (switching activity and clock frequency); their
-// domain is enforced by the power model and maps to 400 like every other
-// domain error.
-type planPowerReq struct {
-	Tech       string  `json:"tech"`
-	L          float64 `json:"l"` // line inductance, H/m
-	F          float64 `json:"f"`
-	Length     float64 `json:"length"`      // total net length, m
-	Alpha      float64 `json:"alpha"`       // switching activity ∈ (0,1]
-	Freq       float64 `json:"freq"`        // clock frequency, Hz
-	MaxPenalty float64 `json:"max_penalty"` // delay penalty budget; 0 → 0.05
-	Points     int     `json:"points,omitempty"`
-	MaxWeight  float64 `json:"max_weight,omitempty"`
-	TimeoutMS  int64   `json:"timeout_ms,omitempty"`
-	NoDegraded bool    `json:"no_degraded,omitempty"` // see optimizeReq.NoDegraded
+// frontReq is the delay/power problem /v1/plan-power and /v1/pareto share:
+// one (technology, inductance, threshold) point under a workload — Alpha
+// and Freq, the switching activity and clock frequency, whose domain the
+// power model enforces — and the sampling of its Pareto front.
+type frontReq struct {
+	Tech      string  `json:"tech"`
+	L         float64 `json:"l"` // line inductance, H/m
+	F         float64 `json:"f"`
+	Alpha     float64 `json:"alpha"` // switching activity ∈ (0,1]
+	Freq      float64 `json:"freq"`  // clock frequency, Hz
+	Points    int     `json:"points,omitempty"`
+	MaxWeight float64 `json:"max_weight,omitempty"`
+	TimeoutMS int64   `json:"timeout_ms,omitempty"`
+	node      tech.Node
+	model     power.Model
 }
 
-func (q *planPowerReq) validate() error {
-	if err := reqFinite("l", q.L, "f", q.F, "length", q.Length,
-		"max_penalty", q.MaxPenalty, "max_weight", q.MaxWeight); err != nil {
-		return err
-	}
+func (q *frontReq) validate(*Config) error {
 	if q.Points < 0 || (q.Points > 0 && q.Points < 2) || q.Points > 512 {
 		return badRequestf("points=%d outside [2, 512]", q.Points)
 	}
 	// The workload domain (α ∈ (0,1], f > 0, finite) is the power model's
 	// contract; checking it here turns the diag domain error into the same
 	// 400 before any cache or breaker state is touched.
-	return power.Params{Alpha: q.Alpha, Freq: q.Freq}.Validate()
+	prm := power.Params{Alpha: q.Alpha, Freq: q.Freq}
+	err := prm.Validate()
+	if err == nil {
+		err = lookupTech(q.Tech, &q.node)
+	}
+	if err == nil {
+		q.model, err = power.New(q.node, q.L, prm)
+	}
+	return err
+}
+
+// planPowerReq drives /v1/plan-power: a power-minimal mixed-scheme repeater
+// plan for a net of Length meters under a bounded delay penalty. Workload
+// domain errors map to 400 like every other domain error.
+type planPowerReq struct {
+	frontReq
+	Length     float64 `json:"length"`                // total net length, m
+	MaxPenalty float64 `json:"max_penalty"`           // delay penalty budget; 0 → 0.05
+	NoDegraded bool    `json:"no_degraded,omitempty"` // see optimizeReq.NoDegraded
 }
 
 func (q *planPowerReq) key() string {
@@ -57,26 +66,7 @@ func (q *planPowerReq) key() string {
 
 // paretoReq drives /v1/pareto: the delay/power Pareto front of one
 // (technology, inductance, workload) problem, streamed as NDJSON points.
-type paretoReq struct {
-	Tech      string  `json:"tech"`
-	L         float64 `json:"l"`
-	F         float64 `json:"f"`
-	Alpha     float64 `json:"alpha"`
-	Freq      float64 `json:"freq"`
-	Points    int     `json:"points,omitempty"`
-	MaxWeight float64 `json:"max_weight,omitempty"`
-	TimeoutMS int64   `json:"timeout_ms,omitempty"`
-}
-
-func (q *paretoReq) validate() error {
-	if err := reqFinite("l", q.L, "f", q.F, "max_weight", q.MaxWeight); err != nil {
-		return err
-	}
-	if q.Points < 0 || (q.Points > 0 && q.Points < 2) || q.Points > 512 {
-		return badRequestf("points=%d outside [2, 512]", q.Points)
-	}
-	return power.Params{Alpha: q.Alpha, Freq: q.Freq}.Validate()
-}
+type paretoReq struct{ frontReq }
 
 func (q *paretoReq) key() string {
 	return "pareto|" + q.Tech + "|" + canonF(q.L) + "|" + canonF(threshold(q.F)) +
@@ -136,38 +126,20 @@ func planPowerOf(p power.Plan) planPowerResp {
 	return resp
 }
 
-func (s *Server) handlePlanPower(w http.ResponseWriter, r *http.Request) {
-	var q planPowerReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	m, err := power.New(node, q.L, power.Params{Alpha: q.Alpha, Freq: q.Freq})
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
+func (q *planPowerReq) plan(s *Server) reply {
 	opts := power.PlanOptions{
 		MaxPenalty: q.MaxPenalty,
 		Front:      power.FrontOptions{Points: q.Points, MaxWeight: q.MaxWeight, Workers: s.cfg.MaxWorkers},
 	}
-	s.serveResilient(w, r, resilient{
+	return reply{
 		key:        q.key(),
 		region:     regionOf("plan-power", q.Tech, q.L),
-		timeout:    s.timeoutFor(q.TimeoutMS),
+		timeoutMS:  q.TimeoutMS,
 		noDegraded: q.NoDegraded,
-		fwdPath:    "/v1/plan-power",
-		fwdReq:     &q,
 		compute: func(ctx context.Context) (any, error) {
-			rep := &diag.Report{}
-			plan, err := power.PlanPower(ctx, m, threshold(q.F), q.Length, opts)
-			s.metrics.recordLadder(rep)
+			plan, err := power.PlanPower(ctx, q.model, threshold(q.F), q.Length, opts)
 			if err != nil {
-				return nil, &solveError{err: err, report: rep}
+				return nil, err
 			}
 			return planPowerOf(plan), nil
 		},
@@ -175,11 +147,11 @@ func (s *Server) handlePlanPower(w http.ResponseWriter, r *http.Request) {
 			// Degraded answer: the closed-form delay-optimal plan with its
 			// power attached — a valid (zero-saving) member of the search
 			// space, never a fabricated tradeoff.
-			base, err := core.EstimatePlan(problemOf(node, q.L, threshold(q.F)), q.Length)
+			base, err := core.EstimatePlan(problemOf(q.node, q.L, threshold(q.F)), q.Length)
 			if err != nil {
 				return nil, err
 			}
-			br, err := m.Stage(base.H, base.K)
+			br, err := q.model.Stage(base.H, base.K)
 			if err != nil {
 				return nil, err
 			}
@@ -194,7 +166,7 @@ func (s *Server) handlePlanPower(w http.ResponseWriter, r *http.Request) {
 				Baseline: planOf(base), BaselinePower: basePower,
 			}, nil
 		},
-	})
+	}
 }
 
 // paretoPointLine is one NDJSON record of a streamed front trace.
@@ -211,87 +183,25 @@ type paretoPointLine struct {
 	Stage      powerBreakdownResp `json:"stage_power"`
 }
 
-// handlePareto streams the delay/power Pareto front as NDJSON: one "point"
-// record per front point and a terminal "done" record. The whole trace is
-// one cached and coalesced computation — unlike a sweep, the warm-start
-// continuation makes the trace a single unit of work, so it is not chunked.
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	var q paretoReq
-	if !s.decodeOrFail(w, r, &q, q.validate) {
-		return
-	}
-	node, err := techOf(q.Tech)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	m, err := power.New(node, q.L, power.Params{Alpha: q.Alpha, Freq: q.Freq})
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
+// plan streams the delay/power Pareto front as NDJSON: one "point" record
+// per front point. The whole trace is one chunk — unlike a sweep, the
+// warm-start continuation makes the trace a single unit of work.
+func (q *paretoReq) plan(s *Server) reply {
 	opts := power.FrontOptions{Points: q.Points, MaxWeight: q.MaxWeight, Workers: s.cfg.MaxWorkers}
-	deadline := time.Now().Add(s.timeoutFor(q.TimeoutMS))
-	reqCtx, cancel := context.WithDeadline(r.Context(), deadline)
-	defer cancel()
-
-	key := q.key()
-	e, ok := s.cacheGet(key)
-	src := "hit"
-	if !ok {
-		var shared bool
-		e, err, shared = s.flights.do(reqCtx, key, time.Until(deadline), func(ctx context.Context) (*cached, error) {
-			if err := s.limiter.acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.limiter.release()
-			front, err := power.ParetoFront(ctx, m, threshold(q.F), opts)
-			if err != nil {
-				return nil, err
-			}
-			var body []byte
-			for _, fp := range front {
-				line, err := json.Marshal(paretoPointLine{
-					Type: "point", Weight: fp.Weight,
-					H: fp.H, K: fp.K, Tau: fp.Tau,
-					Delay: fp.Delay, Power: fp.Power,
-					DelayRatio: fp.DelayRatio, PowerRatio: fp.PowerRatio,
-					Stage: breakdownOf(fp.Stage),
-				})
-				if err != nil {
-					return nil, err
-				}
-				body = append(body, line...)
-				body = append(body, '\n')
-			}
-			e := &cached{key: key, ctype: "application/x-ndjson", body: body}
-			s.cachePut(e)
-			return e, nil
-		})
-		src = "miss"
-		if shared {
-			src = "coalesced"
-		}
+	produce := func(ctx context.Context) ([]byte, error) {
+		front, err := power.ParetoFront(ctx, q.model, threshold(q.F), opts)
 		if err != nil {
-			s.metrics.xcache.Add(src, 1)
-			writeError(w, s.mapErrorWithRetry(err, ""))
-			return
+			return nil, err
 		}
+		return ndjson(front, func(fp power.FrontPoint) any {
+			return paretoPointLine{
+				Type: "point", Weight: fp.Weight,
+				H: fp.H, K: fp.K, Tau: fp.Tau,
+				Delay: fp.Delay, Power: fp.Power,
+				DelayRatio: fp.DelayRatio, PowerRatio: fp.PowerRatio,
+				Stage: breakdownOf(fp.Stage),
+			}
+		})
 	}
-	s.metrics.xcache.Add(src, 1)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", src)
-	_, _ = w.Write(e.body)
-	points := 0
-	for _, b := range e.body {
-		if b == '\n' {
-			points++
-		}
-	}
-	line, _ := json.Marshal(struct {
-		Type   string `json:"type"`
-		Points int    `json:"points"`
-		Tech   string `json:"tech"`
-	}{"done", points, node.Name})
-	_, _ = w.Write(append(line, '\n'))
+	return reply{timeoutMS: q.TimeoutMS, tech: q.node.Name, chunks: []chunk{{key: q.key(), produce: produce}}}
 }

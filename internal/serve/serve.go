@@ -245,18 +245,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /statusz", s.handleStatusz)
-	s.mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
-	s.mux.HandleFunc("POST /v1/delay", s.handleDelay)
-	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("POST /v1/optimize-rc", s.handleOptimizeRC)
-	s.mux.HandleFunc("POST /v1/lcrit", s.handleLCrit)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/check/oxide", s.handleCheckOxide)
-	s.mux.HandleFunc("POST /v1/check/wire", s.handleCheckWire)
-	s.mux.HandleFunc("POST /v1/plan-power", s.handlePlanPower)
-	s.mux.HandleFunc("POST /v1/pareto", s.handlePareto)
-	s.mux.HandleFunc("POST /v1/pdn/ir", s.handlePDNIR)
-	s.mux.HandleFunc("POST /v1/pdn/impedance", s.handlePDNImpedance)
+	for _, rt := range routeTable {
+		s.mux.HandleFunc("POST "+rt.path, s.serve(rt))
+	}
 	// Process-global expvar page (memstats, cmdline); the server's own
 	// counters live unpublished behind /metrics so multiple Servers in one
 	// process never collide in the global namespace.

@@ -550,26 +550,3 @@ func TestMetricsLadderCounters(t *testing.T) {
 		t.Error("latency histogram for /v1/optimize missing")
 	}
 }
-
-// TestMORCountersExposed checks that the reduced-order engagement counters
-// from internal/spice appear on both observability pages with the full key
-// set. The counters are process-wide, so the test only asserts shape, not
-// values (neighbouring tests may have run transients already).
-func TestMORCountersExposed(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	m := metricsSnapshot(t, ts.URL)
-	mor, ok := m["mor"].(map[string]any)
-	if !ok {
-		t.Fatalf("/metrics missing mor block: %v", m["mor"])
-	}
-	for _, k := range []string{"engaged", "cache_hits", "fallbacks", "rejected"} {
-		if _, ok := mor[k]; !ok {
-			t.Errorf("/metrics mor block missing %q: %v", k, mor)
-		}
-	}
-	var sz map[string]any
-	getJSON(t, ts.URL+"/statusz", &sz)
-	if _, ok := sz["mor"].(map[string]any); !ok {
-		t.Errorf("/statusz missing mor block: %v", sz["mor"])
-	}
-}

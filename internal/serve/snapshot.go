@@ -11,8 +11,6 @@ import (
 	"reflect"
 	"sync"
 	"time"
-
-	"rlcint/internal/pdn"
 )
 
 // snapshotVersion is bumped whenever the serialized snapshot layout changes;
@@ -55,13 +53,8 @@ var snapshotSchema = sync.OnceValue(func() string {
 		}
 		fmt.Fprint(h, ")")
 	}
-	for _, v := range []any{
-		optimumResp{}, delayResp{}, planResp{}, sweepPointLine{},
-		rcResp{}, lcritResp{}, oxideResp{}, wireResp{},
-		pdn.IRResult{}, pdn.ImpedanceResult{},
-		planPowerResp{}, paretoPointLine{},
-	} {
-		walk(reflect.TypeOf(v))
+	for _, rt := range routeTable {
+		walk(reflect.TypeOf(rt.shape))
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 })

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
-
-	"rlcint/internal/spice"
 )
 
 // handleStatusz renders the resilience-oriented operational snapshot: the
@@ -15,7 +13,6 @@ import (
 // answering strangely. /metrics stays the flat counter surface for
 // scrapers; /statusz is structured for humans.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	hits, misses, evictions, entries, bytes := s.cache.stats()
 	snap := map[string]any{
 		"uptime_s": time.Since(s.metrics.start).Seconds(),
 		"config": map[string]any{
@@ -38,25 +35,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"transitions": expvarMapToGo(s.metrics.breaker),
 			"regions":     s.breakers.statuses(),
 		},
-		"degraded": expvarMapToGo(s.metrics.degraded),
-		// Reduced-order engagement for transient-backed endpoints: how often
-		// the Krylov fast path answered vs fell back to the full solver.
-		// Process-wide (the reduced-model cache is process-wide), so numbers
-		// here cover every Server in the process.
-		"mor": spice.ReductionStats(),
-		"cache": map[string]int64{
-			"hits":      hits,
-			"misses":    misses,
-			"evictions": evictions,
-			"entries":   entries,
-			"bytes":     bytes,
-		},
-		"admission": map[string]int64{
-			"inflight":    int64(s.limiter.inflight()),
-			"capacity":    int64(s.limiter.capacity()),
-			"queue_depth": s.limiter.depth(),
-			"queue_full":  s.limiter.rejects(),
-		},
+		"degraded":  expvarMapToGo(s.metrics.degraded),
+		"cache":     s.cacheStats(),
+		"admission": s.admissionStats(),
 		"readiness": map[string]any{
 			"ready":    s.Ready(),
 			"draining": s.draining.Load(),

@@ -2,11 +2,10 @@ package spice
 
 import "sync/atomic"
 
-// Process-wide counters for the Krylov reduced-order transient fast path.
-// Serving tiers surface them (rlcd's /metrics and /statusz), so operators can
-// see whether their transient-backed traffic actually rides the reduction —
-// and how often it falls back to the full solver — without scraping diag
-// reports per request.
+// Process-wide counters for the Krylov reduced-order transient fast path, so
+// a caller running many transients (perfbench's ring-transient workload) can
+// see whether they actually ride the reduction — and how often they fall
+// back to the full solver — without scraping diag reports per run.
 var (
 	morStatEngaged   atomic.Uint64 // runs that marched a validated reduced model
 	morStatCacheHits atomic.Uint64 // engagements served by the model cache
