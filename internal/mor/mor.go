@@ -13,18 +13,19 @@
 //   - splits the internal rows into connected components (a ring oscillator's
 //     five identical ladders reduce independently, keeping the reduced system
 //     block-diagonal),
-//   - builds a per-component orthonormal basis V for the block-Krylov space
-//     K(G_zz⁻¹·C_zz, G_zz⁻¹·B) via sparse LU solves and modified Gram–Schmidt,
-//     with the initial state appended as an extra start column so z₀ = Vᵀx₀
-//     is exact,
+//   - builds, once, a per-component orthonormal basis V for the block-Krylov
+//     space K(A₀⁻¹·C_zz, A₀⁻¹·B), A₀ = G_zz + s₀·C_zz, via sparse LU solves
+//     and modified Gram–Schmidt, up to saturation or maxCols columns, with
+//     the initial state appended as an extra start column so z₀ = Vᵀx₀ is
+//     exact,
 //   - forms the congruence-projected reduced blocks (VᵀGV, VᵀCV, and the
 //     port couplings), the passivity-friendly PRIMA construction,
-//   - validates the reduction with a differential accuracy gate: a full-space
-//     linear reference transient versus the reduced stepper, both at the
-//     output timestep, compared as relative RMS waveform error at the
-//     retained rows, escalating the Krylov order until the error meets the
-//     tolerance — or rejecting the reduction outright so the caller falls
-//     back to the full solver.
+//   - vetoes a model that leaves no headroom against N, then validates the
+//     reduction once with a differential accuracy gate: a full-space linear
+//     reference transient versus the reduced stepper, both at the output
+//     timestep, compared as relative RMS waveform error at the retained rows
+//     — accepting the model or rejecting the reduction outright so the
+//     caller falls back to the full solver.
 //
 // A validated Model is immutable and safe for concurrent use; per-run
 // mutable state lives in Run (stepper.go).
@@ -33,6 +34,7 @@ package mor
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rlcint/internal/diag"
 	"rlcint/internal/sparse"
@@ -61,36 +63,33 @@ type System struct {
 	U0 []float64
 }
 
-// Options configure Reduce.
+// Reduction constants. Each component's basis grows until its Krylov space
+// saturates or it reaches maxCols columns; at full dimension the projection
+// is exact.
+const (
+	maxCols = 48
+	// GateTol is the accuracy gate's relative RMS waveform-error tolerance.
+	GateTol = 1e-4
+	// gateWindow is the reference transient's length in output steps (capped
+	// at the run's length).
+	gateWindow = 1200
+	// maxDimFrac vetoes reductions whose total reduced dimension (ports +
+	// Σ columns) exceeds this fraction of N: a reduction that barely shrinks
+	// the system is all risk, no win.
+	maxDimFrac = 0.85
+)
+
+// Options describe the run a reduction is built and gated for.
 type Options struct {
-	// Order is the initial per-component Krylov order; MaxOrder caps the
-	// accuracy-gate escalation (defaults 8 and 48, clamped to the component
-	// dimension — at full dimension the projection is exact).
-	Order, MaxOrder int
-	// Tol is the gate's relative RMS waveform-error tolerance (default 1e-4).
-	Tol float64
 	// DT and NSteps describe the target run's output grid; TR selects
 	// trapezoidal integration with BESteps backward-Euler startup steps.
 	DT      float64
 	NSteps  int
 	TR      bool
 	BESteps int
-	// GateWindow is the reference-simulation length in output steps
-	// (default min(NSteps, 1200)).
-	GateWindow int
-	// Shift is the Krylov expansion frequency s₀: the basis spans
-	// K((G+s₀C)⁻¹C, (G+s₀C)⁻¹B). Zero selects the mild default
-	// 1/(256·DT) — accuracy-neutral versus classical s₀ = 0 moment
-	// matching on damped lines, but it keeps the expansion matrix
-	// factorizable when an internal block is purely reactive
-	// (singular G_zz).
-	Shift float64
-	// MaxPortDim rejects reductions whose total reduced dimension
-	// (ports + Σ orders) exceeds this fraction of N (default 0.85) —
-	// a reduction that barely shrinks the system is all risk, no win.
-	MaxDimFrac float64
-	// Injector injects build faults for testing ("mor.arnoldi",
-	// "mor.gate"); Report collects gate attempts. Both may be nil.
+	// Injector injects build faults for testing ("mor.build",
+	// "mor.arnoldi", "mor.gate"); Report collects the gate attempt. Both may
+	// be nil.
 	Injector *diag.Injector
 	Report   *diag.Report
 }
@@ -100,34 +99,6 @@ func wrapErr(kind error, op string, cause error) *diag.Error {
 	e := diag.New(kind, op)
 	e.Err = cause
 	return e
-}
-
-func (o Options) withDefaults() Options {
-	if o.Order <= 0 {
-		o.Order = 8
-	}
-	if o.MaxOrder <= 0 {
-		o.MaxOrder = 48
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-4
-	}
-	if o.GateWindow <= 0 {
-		o.GateWindow = 1200
-	}
-	if o.GateWindow > o.NSteps {
-		o.GateWindow = o.NSteps
-	}
-	if o.MaxDimFrac <= 0 {
-		o.MaxDimFrac = 0.85
-	}
-	if o.Shift <= 0 && o.DT > 0 {
-		// Mild shift: accuracy-neutral versus classical s₀ = 0 on damped
-		// lines, but keeps the expansion matrix G + s₀C factorizable when
-		// an internal block is purely reactive (singular G_zz).
-		o.Shift = 1 / (256 * o.DT)
-	}
-	return o
 }
 
 // component is one connected block of internal rows with its Krylov basis
@@ -163,9 +134,6 @@ type Model struct {
 	// Order the total reduced internal dimension Σ mᵢ.
 	GateErr float64
 	Order   int
-	// MomentErr is the worst normalized transfer-moment mismatch observed
-	// by the gate (informative; the accept decision is on GateErr).
-	MomentErr float64
 
 	tr      bool
 	beSteps int
@@ -183,82 +151,46 @@ func (m *Model) NumPorts() int { return len(m.Ports) }
 // shape described by opts. A nil model with a non-nil error means the
 // reduction was rejected (gate failure, singular internal block, injected
 // fault, unfavourable dimensions) and the caller must use the full solver.
+// It builds at most one model and records at most one "mor-gate" attempt.
 func Reduce(sys *System, opts Options) (*Model, error) {
-	opts = opts.withDefaults()
-	if err := validateSystem(sys); err != nil {
-		return nil, err
-	}
-	if opts.TR && opts.BESteps < 1 {
-		// The reduced trapezoidal recursion derives its history term from
-		// the previous step's converged residual, which requires the run to
-		// open with at least one backward-Euler step (the full solver seeds
-		// its per-element companion histories the same way).
-		return nil, diag.Domainf("mor.Reduce", "trapezoidal runs need >= 1 BE startup step, have %d", opts.BESteps)
-	}
-	if opts.Injector != nil {
-		if err := opts.Injector.At(diag.Site{Op: "mor.build"}); err != nil {
-			return nil, wrapErr(diag.ErrNonConvergence, "mor.Reduce", err)
-		}
-	}
-	comps, err := partition(sys)
+	m, err := build(sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	intDim := 0
-	for _, c := range comps {
-		intDim += c.dim
+	if m.Order+len(m.Ports) > int(maxDimFrac*float64(sys.N)) {
+		de := diag.Domainf("mor.Reduce", "reduced dim %d+%d leaves no headroom against N=%d",
+			m.Order, len(m.Ports), sys.N)
+		opts.Report.Record("mor-gate", fmt.Sprintf("order=%d", m.Order), diag.OutcomeSkipped, de.Detail, nil)
+		return nil, de
 	}
-	if intDim < 8 {
-		return nil, diag.Domainf("mor.Reduce", "internal dimension %d too small to be worth reducing", intDim)
-	}
-
-	// Reference waveforms are order-independent: compute once, reuse across
-	// every order the gate tries.
-	ref, err := newGateRef(sys, opts)
-	if err != nil {
+	if err := m.gate(sys, opts); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
 
-	order := opts.Order
-	for {
-		m, berr := build(sys, comps, order, opts)
-		if berr != nil {
-			return nil, berr
-		}
-		if m.Order+len(m.Ports) <= int(opts.MaxDimFrac*float64(sys.N)) {
-			gerr, gateErr := ref.compare(m)
-			if gateErr != nil {
-				return nil, gateErr
-			}
-			opts.Report.Record("mor-gate", fmt.Sprintf("order=%d", m.Order),
-				diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", gerr), nil)
-			if gerr <= opts.Tol {
-				m.GateErr = gerr
-				m.MomentErr = ref.momentError(m)
-				return m, nil
-			}
-		} else {
-			opts.Report.Record("mor-gate", fmt.Sprintf("order=%d", m.Order), diag.OutcomeSkipped,
-				fmt.Sprintf("reduced dim %d+%d leaves no headroom against N=%d", m.Order, len(m.Ports), sys.N), nil)
-		}
-		saturated := true
-		for _, c := range comps {
-			if c.m < c.dim {
-				saturated = false
-				break
-			}
-		}
-		if order >= opts.MaxOrder || saturated {
-			de := diag.New(diag.ErrNonConvergence, "mor.Reduce")
-			de.Detail = fmt.Sprintf("accuracy gate rejected the reduction at order %d (tol %g)", order, opts.Tol)
-			opts.Report.Record("mor-gate", "reject", diag.OutcomeFailed, de.Detail, de)
-			return nil, de
-		}
-		order = order*3/2 + 1
-		if order > opts.MaxOrder {
-			order = opts.MaxOrder
-		}
+// gate runs the linearized accuracy gate once, records the attempt, and
+// sets m.GateErr; it returns a typed error when the model is rejected.
+func (m *Model) gate(sys *System, opts Options) error {
+	ref, err := gateReference(sys, opts, min(opts.NSteps, gateWindow))
+	if err != nil {
+		return err
 	}
+	gerr, err := m.gateError(sys, opts, ref)
+	if err != nil {
+		return err
+	}
+	rung := fmt.Sprintf("order=%d", m.Order)
+	detail := fmt.Sprintf("relerr=%.3g", gerr)
+	if !(gerr <= GateTol) {
+		de := diag.New(diag.ErrNonConvergence, "mor.Reduce")
+		de.Detail = fmt.Sprintf("accuracy gate rejected the reduction at order %d: %s above tol %g", m.Order, detail, GateTol)
+		opts.Report.Record("mor-gate", rung, diag.OutcomeFailed, detail, de)
+		return de
+	}
+	opts.Report.Record("mor-gate", rung, diag.OutcomeOK, detail, nil)
+	m.GateErr = gerr
+	return nil
 }
 
 func validateSystem(sys *System) error {
@@ -294,7 +226,7 @@ func validateSystem(sys *System) error {
 // partition labels the internal rows by connected component of the
 // pattern's internal×internal adjacency and records which ports each
 // component couples to.
-func partition(sys *System) ([]*component, error) {
+func partition(sys *System) []*component {
 	n := sys.N
 	isPort := make([]bool, n)
 	for _, r := range sys.Ports {
@@ -370,23 +302,43 @@ func partition(sys *System) ([]*component, error) {
 		for pid := range touch[cid] {
 			c.ports = append(c.ports, pid)
 		}
-		sortInts(c.ports)
-		sortInts(c.rows)
+		slices.Sort(c.ports)
+		slices.Sort(c.rows)
 	}
-	return comps, nil
+	return comps
 }
 
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
+// build validates sys and opts and constructs, in one pass, each connected
+// component's Krylov basis (up to saturation or maxCols columns) and the
+// reduced blocks. It neither vetoes nor gates the model, and never mutates
+// sys.
+func build(sys *System, opts Options) (*Model, error) {
+	if err := validateSystem(sys); err != nil {
+		return nil, err
+	}
+	if !(opts.DT > 0) || opts.NSteps < 2 {
+		return nil, diag.Domainf("mor.Reduce", "bad run grid (dt=%g, steps=%d)", opts.DT, opts.NSteps)
+	}
+	if opts.TR && opts.BESteps < 1 {
+		// The reduced trapezoidal recursion derives its history term from
+		// the previous step's converged residual, which requires the run to
+		// open with at least one backward-Euler step (the full solver seeds
+		// its per-element companion histories the same way).
+		return nil, diag.Domainf("mor.Reduce", "trapezoidal runs need >= 1 BE startup step, have %d", opts.BESteps)
+	}
+	if opts.Injector != nil {
+		if err := opts.Injector.At(diag.Site{Op: "mor.build"}); err != nil {
+			return nil, wrapErr(diag.ErrNonConvergence, "mor.Reduce", err)
 		}
 	}
-}
-
-// build constructs bases and reduced blocks at the given per-component
-// order target. It never mutates sys.
-func build(sys *System, comps []*component, order int, opts Options) (*Model, error) {
+	comps := partition(sys)
+	intDim := 0
+	for _, c := range comps {
+		intDim += c.dim
+	}
+	if intDim < 8 {
+		return nil, diag.Domainf("mor.Reduce", "internal dimension %d too small to be worth reducing", intDim)
+	}
 	n := sys.N
 	p := len(sys.Ports)
 	m := &Model{
@@ -410,7 +362,7 @@ func build(sys *System, comps []*component, order int, opts Options) (*Model, er
 	}
 	m.z0 = make([][]float64, len(comps))
 	for ci, c := range comps {
-		if err := c.buildBasis(sys, order, opts); err != nil {
+		if err := c.buildBasis(sys, opts); err != nil {
 			return nil, err
 		}
 		c.project(sys)
@@ -449,19 +401,18 @@ func extractDense(pat *sparse.CSC, vals []float64, rows, cols []int) []float64 {
 	return out
 }
 
-// buildBasis builds the component's orthonormal Krylov basis: start block
-// G_zz⁻¹·[G_zp | C_zp] plus the raw initial state, then Krylov levels
-// w ← G_zz⁻¹·(C_zz·w), modified Gram–Schmidt throughout.
-func (c *component) buildBasis(sys *System, order int, opts Options) error {
+// buildBasis builds the component's orthonormal Krylov basis of up to
+// maxCols columns: start block A₀⁻¹·[G_zp | C_zp] plus the raw initial
+// state, then Krylov levels w ← A₀⁻¹·(C_zz·w), modified Gram–Schmidt
+// throughout.
+func (c *component) buildBasis(sys *System, opts Options) error {
 	if opts.Injector != nil {
 		if err := opts.Injector.At(diag.Site{Op: "mor.arnoldi", Step: c.dim}); err != nil {
 			return wrapErr(diag.ErrNonConvergence, "mor.arnoldi", err)
 		}
 	}
 	dim := c.dim
-	if order > dim {
-		order = dim
-	}
+	order := min(maxCols, dim)
 	keep := make([]int, sys.N)
 	for i := range keep {
 		keep[i] = -1
@@ -470,9 +421,11 @@ func (c *component) buildBasis(sys *System, order int, opts Options) error {
 		keep[r] = i
 	}
 	// Expansion matrix A₀ = G_zz + s₀·C_zz: the shifted (frequency-domain)
-	// operating point. With s₀ near the stepping rate the Krylov space is
-	// the one the reduced time-stepper actually iterates in.
-	s0 := opts.Shift
+	// operating point. The mild s₀ = 1/(256·DT) is accuracy-neutral versus
+	// classical s₀ = 0 moment matching on damped lines, but keeps A₀
+	// factorizable when an internal block is purely reactive (singular
+	// G_zz).
+	s0 := 1 / (256 * opts.DT)
 	avals := make([]float64, len(sys.G))
 	for i := range avals {
 		avals[i] = sys.G[i] + s0*sys.C[i]

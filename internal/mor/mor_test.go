@@ -220,10 +220,25 @@ func pulse(t float64) float64 {
 	}
 }
 
+// buildGated is Reduce without the headroom veto: the one-pass builder plus
+// the accuracy gate. A plain ladder's Krylov space saturates at its full
+// interior, which the veto sends to the full solver; these tests want that
+// exact projection.
+func buildGated(t *testing.T, sys *System, opts Options) *Model {
+	t.Helper()
+	m, err := build(sys, opts)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if err := m.gate(sys, opts); err != nil {
+		t.Fatalf("gate: %v", err)
+	}
+	return m
+}
+
 func TestReducedMatchesElementReference(t *testing.T) {
-	// A moderately damped delay line: wave-like enough to need a high-order
-	// basis (underdamped ladders converge slowly in the Krylov order), damped
-	// enough that the gate accepts below full dimension.
+	// A moderately damped delay line whose 48-unknown interior the basis
+	// spans in full, checked against the per-element companion stepping.
 	const (
 		sections = 24
 		r        = 30.0
@@ -243,18 +258,9 @@ func TestReducedMatchesElementReference(t *testing.T) {
 			ld := buildLadder(sections, r, l, c, rdrive, pulse, 0)
 			dt := 2e-13
 			steps := 2000
-			opts := Options{
-				DT: dt, NSteps: steps, TR: tc.tr, BESteps: tc.beSteps,
-				Tol: 1e-4, GateWindow: 1000, MaxOrder: 40,
-			}
-			m, err := Reduce(ld.sys, opts)
-			if err != nil {
-				t.Fatalf("Reduce: %v", err)
-			}
-			if m.GateErr > 1e-4 {
-				t.Fatalf("gate error %g above tolerance", m.GateErr)
-			}
-			t.Logf("order=%d gateErr=%.3g momErr=%.3g", m.Order, m.GateErr, m.MomentErr)
+			opts := Options{DT: dt, NSteps: steps, TR: tc.tr, BESteps: tc.beSteps}
+			m := buildGated(t, ld.sys, opts)
+			t.Logf("order=%d gateErr=%.3g", m.Order, m.GateErr)
 
 			ref := ld.elementReference(dt, steps, tc.beSteps, tc.tr, r, l, c, rdrive, sections)
 
@@ -306,16 +312,9 @@ func TestExactAtFullOrder(t *testing.T) {
 	// At order = component dimension the projection is the identity up to
 	// an orthogonal change of basis: gate error should be ~machine epsilon.
 	ld := buildLadder(6, 20, 1e-10, 2e-14, 25, pulse, 0)
-	opts := Options{
-		DT: 5e-13, NSteps: 400, TR: true, BESteps: 2,
-		Tol: 1e-4, GateWindow: 300,
-		// MaxDimFrac > 1: at full order the reduced dimension equals N,
-		// which the production no-headroom guard would veto.
-		Order: 64, MaxOrder: 64, MaxDimFrac: 2,
-	}
-	m, err := Reduce(ld.sys, opts)
-	if err != nil {
-		t.Fatalf("Reduce: %v", err)
+	m := buildGated(t, ld.sys, Options{DT: 5e-13, NSteps: 400, TR: true, BESteps: 2})
+	if interior := ld.sys.N - len(ld.sys.Ports); m.Order != interior {
+		t.Fatalf("basis has %d columns, want the full interior %d", m.Order, interior)
 	}
 	if m.GateErr > 1e-9 {
 		t.Fatalf("full-order projection should be near-exact, gate err %g", m.GateErr)
@@ -323,54 +322,59 @@ func TestExactAtFullOrder(t *testing.T) {
 }
 
 func TestGateRejectTightTolerance(t *testing.T) {
-	ld := buildLadder(30, 10, 2e-10, 3e-14, 50, pulse, 0)
+	// A lightly damped 30-section ladder: its 60-unknown interior truncated
+	// at 48 columns misses the gate tolerance by an order of magnitude.
+	ld := buildLadder(30, 2, 2e-10, 3e-14, 50, pulse, 0)
 	rep := &diag.Report{}
-	opts := Options{
-		DT: 2e-13, NSteps: 2000, TR: true, BESteps: 2,
-		Tol:   1e-300, // unattainable
-		Order: 4, MaxOrder: 6, GateWindow: 400,
-		Report: rep,
-	}
+	opts := Options{DT: 2e-13, NSteps: 2000, TR: true, BESteps: 2, Report: rep}
 	if _, err := Reduce(ld.sys, opts); err == nil {
-		t.Fatal("expected gate rejection at unattainable tolerance")
+		t.Fatal("expected gate rejection of the truncated basis")
 	} else if !errors.Is(err, diag.ErrNonConvergence) {
 		t.Fatalf("expected ErrNonConvergence, got %v", err)
 	}
-	found := false
-	for _, a := range rep.Attempts {
-		if a.Ladder == "mor-gate" && a.Outcome == diag.OutcomeFailed {
-			found = true
-		}
+	if a, _ := rep.Last("mor-gate"); rep.Tried("mor-gate") != 1 || a.Outcome != diag.OutcomeFailed {
+		t.Fatalf("want one failed mor-gate attempt, got:\n%s", rep)
 	}
-	if !found {
-		t.Fatal("gate rejection not recorded in diag report")
+}
+
+func TestHeadroomVetoSkipsGate(t *testing.T) {
+	// The 8-unknown interior saturates at 8 columns: 8+2 reduced unknowns
+	// against N = 10 leave no headroom. The veto is a domain skip decided
+	// before the gate's reference transient, which the injected gate fault
+	// would otherwise surface.
+	ld := buildLadder(4, 20, 1e-10, 2e-14, 25, pulse, 0)
+	rep := &diag.Report{}
+	opts := Options{
+		DT: 5e-13, NSteps: 400, TR: true, BESteps: 2, Report: rep,
+		Injector: diag.FaultAt("mor.gate", 0, errors.New("injected")),
+	}
+	if _, err := Reduce(ld.sys, opts); !errors.Is(err, diag.ErrDomain) {
+		t.Fatalf("want a diag.ErrDomain headroom veto, got %v", err)
+	}
+	if a, _ := rep.Last("mor-gate"); rep.Tried("mor-gate") != 1 || a.Outcome != diag.OutcomeSkipped {
+		t.Fatalf("want one skipped mor-gate attempt, got:\n%s", rep)
 	}
 }
 
 func TestArnoldiFaultInjection(t *testing.T) {
-	ld := buildLadder(16, 10, 2e-10, 3e-14, 50, pulse, 0)
-	opts := Options{
-		DT: 2e-13, NSteps: 500, TR: true, BESteps: 2,
-		GateWindow: 200,
-		Injector:   diag.FaultAt("mor.arnoldi", 0, errors.New("injected")),
-	}
-	if _, err := Reduce(ld.sys, opts); err == nil {
-		t.Fatal("expected injected Arnoldi failure")
-	}
-	opts.Injector = diag.FaultAt("mor.gate", 0, errors.New("injected"))
-	if _, err := Reduce(ld.sys, opts); err == nil {
-		t.Fatal("expected injected gate failure")
+	// 48 of 60 interior columns clear the headroom veto, so an injected
+	// gate fault is reached.
+	ld := buildLadder(30, 10, 2e-10, 3e-14, 50, pulse, 0)
+	injected := errors.New("injected")
+	for _, site := range []string{"mor.build", "mor.arnoldi", "mor.gate"} {
+		opts := Options{
+			DT: 2e-13, NSteps: 500, TR: true, BESteps: 2,
+			Injector: diag.FaultAt(site, 0, injected),
+		}
+		if _, err := Reduce(ld.sys, opts); !errors.Is(err, injected) {
+			t.Errorf("%s: want the injected fault, got %v", site, err)
+		}
 	}
 }
 
 func TestRunStateRoundTrip(t *testing.T) {
 	ld := buildLadder(12, 15, 2e-10, 3e-14, 50, pulse, 0.5)
-	// Accuracy is irrelevant here — the test only needs an accepted model.
-	opts := Options{DT: 2e-13, NSteps: 600, TR: true, BESteps: 2, GateWindow: 300, Tol: 1e-2}
-	m, err := Reduce(ld.sys, opts)
-	if err != nil {
-		t.Fatalf("Reduce: %v", err)
-	}
+	m := buildGated(t, ld.sys, Options{DT: 2e-13, NSteps: 600, TR: true, BESteps: 2})
 	run := m.NewRun()
 	st, err := m.PrepStepper(2e-13, false)
 	if err != nil {

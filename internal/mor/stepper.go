@@ -121,7 +121,6 @@ func (m *Model) buildStepper(dt float64, tr, gate bool) (*Stepper, error) {
 	if dt <= 0 {
 		return nil, diag.Domainf("mor.stepper", "non-positive dt %g", dt)
 	}
-	// dt = +Inf is the α=0 sentinel: A = G, used for moment recursions.
 	alpha := 1 / dt
 	if tr {
 		alpha = 2 / dt
@@ -552,46 +551,6 @@ func (r *Run) evalPhi(st *Stepper, pe PortEval) {
 	pe.Eval(r.vNew, zero(r.fnl), r.jac)
 	for i := 0; i < p; i++ {
 		r.phi[i] += r.fnl[i] - r.rho[i]
-	}
-}
-
-// solveCoupled solves the α-form system [S-structure] for arbitrary
-// right-hand sides (rhsP on ports, rhsZ per component): the moment
-// recursion of the accuracy gate. Outputs overwrite outV/outZ.
-func (st *Stepper) solveCoupled(m *Model, rhsP []float64, rhsZ [][]float64, outV []float64, outZ, wtmp [][]float64) {
-	p := len(m.Ports)
-	for ci := range m.comps {
-		st.comps[ci].lu.SolveInto(wtmp[ci], rhsZ[ci])
-	}
-	copy(outV, rhsP)
-	for ci, c := range m.comps {
-		md := c.m
-		cs := &st.comps[ci]
-		w := wtmp[ci]
-		for pi, gp := range c.ports {
-			s := 0.0
-			row := cs.apz[pi*md : (pi+1)*md]
-			for k, wk := range w {
-				s += row[k] * wk
-			}
-			outV[gp] -= s
-		}
-	}
-	v := make([]float64, p)
-	st.slu.SolveInto(v, outV)
-	copy(outV, v)
-	for ci, c := range m.comps {
-		cs := &st.comps[ci]
-		md, pc := c.m, len(c.ports)
-		w, zo := wtmp[ci], outZ[ci]
-		for i := 0; i < md; i++ {
-			s := w[i]
-			row := cs.x[i*pc : (i+1)*pc]
-			for j, gp := range c.ports {
-				s -= row[j] * outV[gp]
-			}
-			zo[i] = s
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rlcint/internal/laplace"
 	"rlcint/internal/num"
 	"rlcint/internal/tech"
 	"rlcint/internal/tline"
@@ -116,6 +117,43 @@ func TestStepContinuousAcrossCriticalDamping(t *testing.T) {
 			vo, vu, vc := over.Step(tt), under.Step(tt), crit.Step(tt)
 			if math.Abs(vo-vc) > 1e-3 || math.Abs(vu-vc) > 1e-3 {
 				t.Errorf("eps=%g t=%g: over=%v crit=%v under=%v", eps, tt, vo, vc, vu)
+			}
+		}
+	}
+}
+
+// TestStepMatchesInverseLaplace checks the closed-form step response (the
+// Fig2 waveforms) against numerical inversions of 1/(s(1+b₁s+b₂s²)): fixed
+// Talbot in every damping regime, and Gaver–Stehfest, which is blind to
+// oscillation, in the overdamped one.
+func TestStepMatchesInverseLaplace(t *testing.T) {
+	const b2 = 2.3e-20 // paper scale: 1/ωₙ ≈ 0.15 ns
+	for _, zeta := range []float64{2, 1, 0.5} {
+		m, err := New(2*zeta*math.Sqrt(b2), b2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := laplace.StepOf(func(s complex128) complex128 {
+			return 1 / (1 + complex(m.B1, 0)*s + complex(m.B2, 0)*s*s)
+		})
+		for k := 1; k <= 50; k++ {
+			tt := float64(k) / 50 * 10 / m.OmegaN()
+			want := m.Step(tt)
+			got, err := laplace.Talbot(step, tt, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9 {
+				t.Errorf("ζ=%g t=%g: Talbot %.12g, closed form %.12g", zeta, tt, got, want)
+			}
+			if zeta <= 1 {
+				continue
+			}
+			if got, err = laplace.GaverStehfest(step, tt, 8); err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-5 {
+				t.Errorf("ζ=%g t=%g: Gaver–Stehfest %.8g, closed form %.8g", zeta, tt, got, want)
 			}
 		}
 	}

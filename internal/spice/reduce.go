@@ -58,13 +58,12 @@ const (
 	reduceMinSteps    = 64
 )
 
-// reduceTol is the relative RMS waveform tolerance of the linearized
-// accuracy gate; the large-signal confirmation gate for nonlinear circuits
-// allows confirmFactor times as much (real full-vs-reduced comparisons
-// include Newton tolerance noise and, for oscillators, phase drift).
+// confirmTol is the relative RMS waveform tolerance of the large-signal
+// confirmation gate for nonlinear circuits, ten times the linearized gate's
+// mor.GateTol: real full-vs-reduced comparisons include Newton tolerance
+// noise and, for oscillators, phase drift.
 const (
-	reduceTol     = 1e-4
-	confirmFactor = 10
+	confirmTol    = 1e-3
 	confirmWindow = 1500
 )
 
@@ -453,7 +452,7 @@ func (ex *extracted) fingerprint(opts mor.Options, tstop float64) uint64 {
 	}
 	h.word(uint64(opts.BESteps))
 	h.word(1 << 8) // format marker; keeps the fingerprints in existing checkpoint files valid
-	h.float(opts.Tol)
+	h.float(mor.GateTol)
 	up := make([]float64, len(sys.Ports))
 	for s := 0; s <= 64; s++ {
 		sys.U(tstop*float64(s)/64, up)
@@ -507,7 +506,6 @@ func (c *Circuit) tryReduce(opts TranOpts, x0 []float64, probes []Probe, nSteps,
 		NSteps:   nSteps,
 		TR:       tr,
 		BESteps:  beSteps,
-		Tol:      reduceTol,
 		Injector: opts.Injector,
 		Report:   opts.Report,
 	}
@@ -558,9 +556,9 @@ func (c *Circuit) tryReduce(opts TranOpts, x0 []float64, probes []Probe, nSteps,
 		outcome, detail := diag.OutcomeOK, fmt.Sprintf("relerr=%.3g", cerr)
 		if err != nil {
 			outcome, detail = diag.OutcomeSkipped, err.Error()
-		} else if cerr > confirmFactor*reduceTol {
+		} else if cerr > confirmTol {
 			outcome = diag.OutcomeFailed
-			detail = fmt.Sprintf("large-signal relerr=%.3g above %g", cerr, confirmFactor*reduceTol)
+			detail = fmt.Sprintf("large-signal relerr=%.3g above %g", cerr, confirmTol)
 		}
 		opts.Report.Record("mor", "confirm", outcome, detail, nil)
 		if outcome != diag.OutcomeOK {

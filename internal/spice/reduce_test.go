@@ -91,8 +91,9 @@ func reportHas(rep *diag.Report, ladder, rung string) bool {
 }
 
 // TestReducedLinearAgrees runs big linear ladders through the reduced path
-// (asserting via the diag report that it actually engaged) and checks the
-// waveforms against the full solver within the accuracy-gate budget.
+// (asserting via the diag report that it actually engaged, after exactly one
+// accuracy-gate attempt) and checks the waveforms against the full solver
+// within the accuracy-gate budget.
 func TestReducedLinearAgrees(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		morCacheReset()
@@ -106,6 +107,9 @@ func TestReducedLinearAgrees(t *testing.T) {
 		}
 		if !reportHas(rep, "mor", "accept") {
 			t.Fatalf("seed %d: reduction did not engage:\n%s", seed, rep)
+		}
+		if n := rep.Tried("mor-gate"); n != 1 {
+			t.Errorf("seed %d: %d mor-gate attempts, want one:\n%s", seed, n, rep)
 		}
 		cFull, pFull := reduceLadder(t, seed, false)
 		fullOpts := ladderOpts()
