@@ -1,16 +1,19 @@
 package rlcint
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"rlcint/internal/num"
 	"rlcint/internal/spice"
 )
 
 // TestPaperAnchors pins the paper's numeric anchors through the facade:
 // Table 1's RC-optimal stage delays, the RIP mixed-scheme plan
-// (arXiv:0710.4690), the Fig9 ring period, the Fig11 period collapse, and
-// the 250 nm ring's reduced-order period against the full solver.
+// (arXiv:0710.4690), the Fig4–8 sweep quantities EXPERIMENTS.md reports,
+// the Fig9 ring period, the Fig11 period collapse, and the 250 nm ring's
+// reduced-order period against the full solver.
 func TestPaperAnchors(t *testing.T) {
 	near := func(name string, got, want, tol float64) {
 		t.Helper()
@@ -40,6 +43,35 @@ func TestPaperAnchors(t *testing.T) {
 	}
 	near("RIP power saved", plan.PowerSaved, 0.2224, 1e-4)
 	near("RIP delay penalty", plan.DelayPenalty, 0.0440, 1e-4)
+
+	// Figures 4-8 on cmd/figures' grid: 13 points over 0.1-4.9 nH/mm at
+	// f = 0.5, cold starts (warm continuation differs by ~1e-6).
+	ls := num.Linspace(0.1*NHPerMM, 4.9*NHPerMM, 13)
+	rows, err := SweepNodes(context.Background(), SweepOptions{}, []Technology{Tech250(), Tech100()}, ls, 0.5)
+	if err != nil {
+		t.Fatalf("Fig4-8 sweep: %v", err)
+	}
+	for i, want := range []struct {
+		lcrit, h, k        [2]float64 // first and last point
+		fig7End, fig8Worst float64
+	}{
+		{[2]float64{0.188, 0.417}, [2]float64{0.9660, 1.3690}, [2]float64{0.8379, 0.4848}, 1.9943, 1.0828},
+		{[2]float64{0.0637, 0.1888}, [2]float64{0.9908, 1.5882}, [2]float64{0.7748, 0.3843}, 2.9756, 1.1165},
+	} {
+		pts, name := rows[i].Points, rows[i].Node.Name
+		ends := [2]SweepPoint{pts[0], pts[len(pts)-1]}
+		worst := 0.0
+		for _, p := range pts {
+			worst = math.Max(worst, p.Penalty)
+		}
+		for j, end := range []string{"first", "last"} {
+			near("Fig4 "+name+" l_crit (nH/mm), "+end+" point", ends[j].LCrit/NHPerMM, want.lcrit[j], 5e-4)
+			near("Fig5 "+name+" h ratio, "+end+" point", ends[j].HRatio, want.h[j], 5e-4)
+			near("Fig6 "+name+" k ratio, "+end+" point", ends[j].KRatio, want.k[j], 5e-4)
+		}
+		near("Fig7 "+name+" delay ratio at 4.9 nH/mm", ends[1].DelayRatio, want.fig7End, 5e-4)
+		near("Fig8 "+name+" worst RC-sizing penalty", worst, want.fig8Worst, 5e-4)
+	}
 
 	if testing.Short() {
 		t.Skip("ring-oscillator transients")

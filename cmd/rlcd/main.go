@@ -10,9 +10,7 @@
 //	     [-snapshot /path/cache.snap] [-snapshot-interval 30s]
 //	     [-breaker-threshold 5] [-breaker-cooldown 10s] [-no-degraded]
 //	     [-self host:port] [-peers h1:p1,h2:p2 | -peers-file /path]
-//	     [-fleet-replicas 2] [-probe-interval 1s] [-hedge-after 0]
-//	     [-forward-attempts 3] [-forward-timeout 1s] [-forward-budget 2.5s]
-//	     [-max-hops 3]
+//	     [-probe-interval 1s] [-forward-timeout 1s] [-hedge-after 0]
 //
 // Endpoints (all request/response bodies JSON, SI units):
 //
@@ -38,7 +36,8 @@
 // -hedge-after tail-latency hedging), so identical queries hit a warm
 // cache no matter which instance the client reached. When the owner and
 // its replicas are down, the local instance computes the answer itself —
-// fleet topology never fails a request.
+// fleet topology never fails a request. The ring's replica count, probe
+// hysteresis, retry budget and hop cap are internal/fleet constants.
 //
 // With -snapshot the result cache is restored at startup and persisted
 // every -snapshot-interval and on drain, so a restarted daemon answers
@@ -96,15 +95,9 @@ func main() {
 	self := flag.String("self", "", "fleet: this instance's advertised host:port (required with -peers/-peers-file)")
 	peers := flag.String("peers", "", "fleet: comma-separated peer host:port list")
 	peersFile := flag.String("peers-file", "", "fleet: file with one peer host:port per line (# comments); reloaded on SIGHUP")
-	fleetReplicas := flag.Int("fleet-replicas", 0, "fleet: ring replicas tried after the owner (0 = 2)")
 	probeInterval := flag.Duration("probe-interval", 0, "fleet: peer readiness-probe cadence (0 = 1s, negative = no probing)")
-	probeRise := flag.Int("probe-rise", 0, "fleet: consecutive probe successes to re-admit a peer (0 = 2)")
-	probeFall := flag.Int("probe-fall", 0, "fleet: consecutive failures to eject a peer (0 = 2)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "fleet: hedge a slow forward to the next replica after this delay (0 = disabled)")
-	forwardAttempts := flag.Int("forward-attempts", 0, "fleet: max peer attempts per request, hedges included (0 = 3)")
 	forwardTimeout := flag.Duration("forward-timeout", 0, "fleet: per-attempt forward timeout (0 = 1s)")
-	forwardBudget := flag.Duration("forward-budget", 0, "fleet: total forwarding time budget per request (0 = 2.5s, negative = none)")
-	maxHops := flag.Int("max-hops", 0, "fleet: forwarding-depth cap before computing locally (0 = 3)")
 	flag.Parse()
 
 	// Fail fast on nonsense values with a usage error rather than letting a
@@ -153,9 +146,6 @@ func main() {
 	if !fleetWanted && *self != "" {
 		usageErr("-self is only meaningful with -peers/-peers-file")
 	}
-	if *fleetReplicas < 0 || *forwardAttempts < 0 || *maxHops < 0 || *probeRise < 0 || *probeFall < 0 {
-		usageErr("fleet counts must be non-negative")
-	}
 	if *hedgeAfter < 0 || *forwardTimeout < 0 {
 		usageErr("-hedge-after and -forward-timeout must be non-negative, got %s and %s", *hedgeAfter, *forwardTimeout)
 	}
@@ -171,15 +161,9 @@ func main() {
 		fleetCfg = &fleet.Config{
 			Self:           *self,
 			PeersFile:      *peersFile,
-			Replicas:       *fleetReplicas,
 			ProbeInterval:  *probeInterval,
-			Rise:           *probeRise,
-			Fall:           *probeFall,
 			AttemptTimeout: *forwardTimeout,
-			MaxAttempts:    *forwardAttempts,
-			ForwardBudget:  *forwardBudget,
 			HedgeAfter:     *hedgeAfter,
-			MaxHops:        *maxHops,
 		}
 		if *peers != "" {
 			for _, p := range strings.Split(*peers, ",") {
@@ -214,8 +198,7 @@ func main() {
 		eff.SnapshotPath, eff.SnapshotInterval,
 		eff.BreakerThreshold, eff.BreakerCooldown, !eff.DisableDegraded)
 	if fl := srv.Fleet(); fl != nil {
-		logger.Printf("fleet: self=%s replicas=%d max-hops=%d hedge-after=%s peers-file=%q",
-			fl.Self(), *fleetReplicas, fl.MaxHops(), *hedgeAfter, *peersFile)
+		logger.Printf("fleet: self=%s hedge-after=%s peers-file=%q", fl.Self(), *hedgeAfter, *peersFile)
 		// SIGHUP re-reads -peers-file; with a static -peers list it logs and
 		// keeps the current membership.
 		hup := make(chan os.Signal, 1)

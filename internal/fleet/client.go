@@ -31,7 +31,6 @@ type PeerResponse struct {
 	Degraded    string // the peer's X-Degraded header, if any
 	Body        []byte
 	Peer        string // address that answered
-	Hedged      bool   // answered by a hedge request, not the primary attempt
 }
 
 // peerError is one failed attempt: transport errors carry status 0,
@@ -118,20 +117,20 @@ func parseRetryAfter(h http.Header) time.Duration {
 // jitter, stretched (within reason) to honor a Retry-After from the failed
 // attempt.
 func (f *Fleet) backoff(retry int, cause error) time.Duration {
-	base := f.cfg.BackoffBase << uint(retry)
-	if base > f.cfg.BackoffMax || base <= 0 {
-		base = f.cfg.BackoffMax
+	base := backoffBase << uint(retry)
+	if base > backoffMax || base <= 0 {
+		base = backoffMax
 	}
 	d := time.Duration(float64(base) * (0.5 + rand.Float64()))
 	var pe *peerError
 	if errors.As(cause, &pe) && pe.retryAfter > d {
 		honor := pe.retryAfter
-		if lim := 4 * f.cfg.BackoffMax; honor > lim {
+		if lim := 4 * backoffMax; honor > lim {
 			honor = lim
 		}
 		if honor > d {
 			d = honor
-			f.c.retryAfterHonored.Add(1)
+			f.counts.Add("retry_after_honored", 1)
 		}
 	}
 	return d
@@ -149,10 +148,10 @@ func (f *Fleet) recordOutcome(addr string, err error) {
 			cause = "cancelled"
 		case errors.As(err, &pe) && pe.status != 0:
 			cause = "peer-" + strconv.Itoa(pe.status)
-			f.c.peer5xx.Add(1)
+			f.counts.Add("peer_5xx", 1)
 		default:
 			cause = "transport"
-			f.c.transportErrors.Add(1)
+			f.counts.Add("transport_errors", 1)
 			// A transport-level failure is as good as a failed probe: fold it
 			// into the hysteresis so a dead peer is ejected before the prober
 			// gets around to noticing.
@@ -169,26 +168,17 @@ func (f *Fleet) recordOutcome(addr string, err error) {
 // outcome recording. Between attempts: capped exponential backoff with
 // jitter (honoring Retry-After). Concurrent with a slow attempt: one hedge
 // to the next candidate after HedgeAfter, first answer wins, losers are
-// cancelled. The whole call is bounded by ForwardBudget and the caller's
+// cancelled. The whole call is bounded by forwardBudget and the caller's
 // ctx; every failure mode returns an error so the caller can compute
 // locally.
 func (f *Fleet) Forward(ctx context.Context, cands []string, path string, body []byte, hops int) (*PeerResponse, error) {
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates
 	}
-	var cancel context.CancelFunc
-	fctx := ctx
-	if f.cfg.ForwardBudget > 0 {
-		fctx, cancel = context.WithTimeout(ctx, f.cfg.ForwardBudget)
-	} else {
-		fctx, cancel = context.WithCancel(ctx)
-	}
+	fctx, cancel := context.WithTimeout(ctx, forwardBudget)
 	defer cancel()
 
-	max := f.cfg.MaxAttempts
-	if max > len(cands) {
-		max = len(cands)
-	}
+	max := min(maxAttempts, len(cands))
 	type res struct {
 		pr     *PeerResponse
 		err    error
@@ -206,13 +196,13 @@ func (f *Fleet) Forward(ctx context.Context, cands []string, path string, body [
 			idx := next
 			next++
 			if f.cfg.Gate != nil && !f.cfg.Gate.Allow(addr) {
-				f.c.breakerSkips.Add(1)
+				f.counts.Add("breaker_skips", 1)
 				continue
 			}
 			inflight++
-			f.c.attempts.Add(1)
+			f.counts.Add("attempts", 1)
 			if idx > 0 && !hedged {
-				f.c.retries.Add(1)
+				f.counts.Add("retries", 1)
 			}
 			go func() {
 				pr, err := f.attempt(fctx, addr, path, body, hops, idx)
@@ -258,9 +248,8 @@ func (f *Fleet) Forward(ctx context.Context, cands []string, path string, body [
 		case r := <-ch:
 			inflight--
 			if r.err == nil {
-				r.pr.Hedged = r.hedged
 				if r.hedged {
-					f.c.hedgeWins.Add(1)
+					f.counts.Add("hedge_wins", 1)
 				}
 				return r.pr, nil
 			}
@@ -276,10 +265,10 @@ func (f *Fleet) Forward(ctx context.Context, cands []string, path string, body [
 		case <-hedgeC:
 			hedgeC = nil
 			before := inflight
-			f.c.hedges.Add(1)
+			f.counts.Add("hedges", 1)
 			launch(true)
 			if inflight == before {
-				f.c.hedges.Add(-1) // every remaining candidate was breaker-skipped
+				f.counts.Add("hedges", -1) // every remaining candidate was breaker-skipped
 				if inflight == 0 {
 					return nil, firstErr(lastErr)
 				}

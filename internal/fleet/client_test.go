@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"expvar"
 	"io"
 	"log"
 	"net/http"
@@ -17,17 +18,14 @@ import (
 
 func addrOf(ts *httptest.Server) string { return strings.TrimPrefix(ts.URL, "http://") }
 
-// newTestFleet builds a probe-less fleet (peers permanently up) with fast
-// backoff, suitable for exercising the forwarding client directly.
+// newTestFleet builds a probe-less fleet (peers permanently up), suitable
+// for exercising the forwarding client directly.
 func newTestFleet(t *testing.T, mutate func(*Config)) *Fleet {
 	t.Helper()
 	cfg := Config{
 		Self:           "self.test:1",
 		ProbeInterval:  -1, // no prober; candidate lists come from the caller
 		AttemptTimeout: 2 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
-		ForwardBudget:  10 * time.Second,
 		Logger:         log.New(io.Discard, "", 0),
 	}
 	if mutate != nil {
@@ -39,6 +37,14 @@ func newTestFleet(t *testing.T, mutate func(*Config)) *Fleet {
 	}
 	t.Cleanup(f.Close)
 	return f
+}
+
+// count reads one of f's counters (-1 when it does not exist).
+func count(f *Fleet, name string) int64 {
+	if v, ok := f.Counters().Get(name).(*expvar.Int); ok {
+		return v.Value()
+	}
+	return -1
 }
 
 func TestForwardRetriesNextReplica(t *testing.T) {
@@ -63,9 +69,8 @@ func TestForwardRetriesNextReplica(t *testing.T) {
 	if pr.Peer != addrOf(good) || pr.Status != http.StatusOK || string(pr.Body) != `{"ok":true}` {
 		t.Fatalf("Forward answered from %s status %d body %q", pr.Peer, pr.Status, pr.Body)
 	}
-	m := f.Metrics()
-	if m["attempts"] != 2 || m["retries"] != 1 || m["peer_5xx"] != 1 {
-		t.Errorf("metrics = %v, want 2 attempts / 1 retry / 1 peer_5xx", m)
+	if a, r, p := count(f, "attempts"), count(f, "retries"), count(f, "peer_5xx"); a != 2 || r != 1 || p != 1 {
+		t.Errorf("attempts/retries/peer_5xx = %d/%d/%d, want 2/1/1", a, r, p)
 	}
 }
 
@@ -114,12 +119,11 @@ func TestForwardHedgeFirstResponseWins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
-	if !pr.Hedged || pr.Peer != addrOf(fast) {
-		t.Fatalf("answer hedged=%t from %s, want hedged answer from the fast peer", pr.Hedged, pr.Peer)
+	if pr.Peer != addrOf(fast) {
+		t.Fatalf("answer from %s, want the hedge's answer from the fast peer", pr.Peer)
 	}
-	m := f.Metrics()
-	if m["hedges"] != 1 || m["hedge_wins"] != 1 {
-		t.Errorf("metrics = %v, want 1 hedge / 1 hedge_win", m)
+	if h, w := count(f, "hedges"), count(f, "hedge_wins"); h != 1 || w != 1 {
+		t.Errorf("hedges/hedge_wins = %d/%d, want 1/1", h, w)
 	}
 	select {
 	case <-slowCancelled:
@@ -128,31 +132,56 @@ func TestForwardHedgeFirstResponseWins(t *testing.T) {
 	}
 }
 
+// TestForwardHonorsRetryAfter: a shedding peer's Retry-After holds the retry
+// back instead of the next replica being hit after the plain backoff, and
+// backoff honors it up to 4×backoffMax.
 func TestForwardHonorsRetryAfter(t *testing.T) {
-	shedding := func(w http.ResponseWriter, r *http.Request) {
+	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, "full", http.StatusServiceUnavailable)
-	}
-	p1 := httptest.NewServer(http.HandlerFunc(shedding))
-	defer p1.Close()
-	p2 := httptest.NewServer(http.HandlerFunc(shedding))
-	defer p2.Close()
+	}))
+	defer shedding.Close()
+	var hits atomic.Int64
+	next := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer next.Close()
 
-	f := newTestFleet(t, func(c *Config) { c.BackoffMax = 10 * time.Millisecond })
-	start := time.Now()
-	_, err := f.Forward(context.Background(), []string{addrOf(p1), addrOf(p2)}, "/v1/x", nil, 1)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("Forward succeeded against two shedding peers")
+	f := newTestFleet(t, nil)
+	// The plain backoff is at most 1.5×backoffBase; the 1 s Retry-After must
+	// still be pending when the caller gives up at 600 ms.
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel()
+	if _, err := f.Forward(ctx, []string{addrOf(shedding), addrOf(next)}, "/v1/x", nil, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Forward err = %v, want the caller's deadline while the retry waits", err)
 	}
-	m := f.Metrics()
-	if m["retry_after_honored"] < 1 {
-		t.Errorf("retry_after_honored = %d, want >= 1", m["retry_after_honored"])
+	if hits.Load() != 0 {
+		t.Error("next replica reached before the shedding peer's Retry-After elapsed")
 	}
-	// Retry-After of 1s is clamped to 4×BackoffMax = 40ms; the retry must
-	// have waited at least that long instead of hammering immediately.
-	if elapsed < 40*time.Millisecond {
-		t.Errorf("both attempts finished in %s, Retry-After was not honored", elapsed)
+	if n := count(f, "retry_after_honored"); n != 1 {
+		t.Errorf("retry_after_honored = %d, want 1", n)
+	}
+
+	shed := func(d time.Duration) error { return &peerError{addr: "p:1", status: 503, retryAfter: d} }
+	for _, tc := range []struct {
+		retry   int
+		cause   error
+		lo, hi  time.Duration
+		honored int64
+	}{
+		{0, errors.New("transport"), backoffBase / 2, backoffBase * 3 / 2, 0},
+		{2, errors.New("transport"), backoffBase * 2, backoffBase * 6, 0},
+		{10, errors.New("transport"), backoffMax / 2, backoffMax * 3 / 2, 0},
+		{0, shed(time.Second), time.Second, time.Second, 1},
+		{0, shed(time.Minute), 4 * backoffMax, 4 * backoffMax, 1}, // clamped
+	} {
+		before := count(f, "retry_after_honored")
+		if d := f.backoff(tc.retry, tc.cause); d < tc.lo || d > tc.hi {
+			t.Errorf("backoff(%d, %v) = %s, want in [%s, %s]", tc.retry, tc.cause, d, tc.lo, tc.hi)
+		}
+		if got := count(f, "retry_after_honored") - before; got != tc.honored {
+			t.Errorf("backoff(%d, %v) counted %d honored Retry-Afters, want %d", tc.retry, tc.cause, got, tc.honored)
+		}
 	}
 }
 
@@ -173,15 +202,15 @@ func TestForwardTransportFaultInjection(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Errorf("peer reached %d times through a faulted transport", hits.Load())
 	}
-	if m := f.Metrics(); m["transport_errors"] < 2 {
-		t.Errorf("transport_errors = %d, want >= 2", m["transport_errors"])
+	if n := count(f, "transport_errors"); n < 2 {
+		t.Errorf("transport_errors = %d, want >= 2", n)
 	}
 }
 
 // denyAllGate skips every peer, as an all-open breaker set would.
 type denyAllGate struct{ skips atomic.Int64 }
 
-func (g *denyAllGate) Allow(string) bool          { g.skips.Add(1); return false }
+func (g *denyAllGate) Allow(string) bool           { g.skips.Add(1); return false }
 func (g *denyAllGate) Result(string, bool, string) {}
 
 func TestForwardAllCandidatesGatedReturnsNoCandidates(t *testing.T) {
@@ -191,8 +220,8 @@ func TestForwardAllCandidatesGatedReturnsNoCandidates(t *testing.T) {
 	if !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("err = %v, want ErrNoCandidates", err)
 	}
-	if f.Metrics()["breaker_skips"] != 2 {
-		t.Errorf("breaker_skips = %d, want 2", f.Metrics()["breaker_skips"])
+	if n := count(f, "breaker_skips"); n != 2 {
+		t.Errorf("breaker_skips = %d, want 2", n)
 	}
 }
 

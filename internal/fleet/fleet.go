@@ -29,6 +29,7 @@
 package fleet
 
 import (
+	"expvar"
 	"fmt"
 	"log"
 	"net"
@@ -37,7 +38,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlcint/internal/diag"
@@ -77,6 +77,31 @@ type PeerGate interface {
 	Result(addr string, ok bool, cause string)
 }
 
+// The fleet's fixed tuning, sized for a handful of members on one network.
+const (
+	// replicas is how many ring successors after the owner are tried.
+	replicas = 2
+	// probeTimeout bounds one readiness probe.
+	probeTimeout = 500 * time.Millisecond
+	// rise consecutive successful probes (re-)admit a peer; fall
+	// consecutive failures eject one.
+	rise, fall = 2, 2
+	// maxAttempts bounds peer attempts per request, hedges included.
+	maxAttempts = 3
+	// backoffBase/backoffMax shape the capped exponential backoff between
+	// retries; a peer's Retry-After is honored up to 4×backoffMax.
+	backoffBase = 25 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+	// forwardBudget bounds one request's total time in the fleet client,
+	// attempts and backoffs included; exhausting it falls back to local
+	// compute.
+	forwardBudget = 2500 * time.Millisecond
+)
+
+// MaxHops caps forwarding depth: at the cap an instance computes locally
+// instead of forwarding.
+const MaxHops = 3
+
 // Config describes one instance's view of the fleet. The zero value of any
 // field selects the default noted on it.
 type Config struct {
@@ -92,41 +117,16 @@ type Config struct {
 	// ('#' comments and blank lines ignored). Loaded at New and reloaded by
 	// ReloadPeers (rlcd wires that to SIGHUP). Mutually exclusive with Peers.
 	PeersFile string
-	// Replicas is how many ring successors after the owner are tried when
-	// forwarding (0 → 2).
-	Replicas int
-	// VNodes is the virtual-point count per member (0 → 64).
-	VNodes int
 	// ProbeInterval is the health-probe cadence (0 → 1s; <0 disables
 	// probing entirely and treats every peer as permanently up — for tests
 	// and benchmarks, not production).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readiness probe (0 → 500ms).
-	ProbeTimeout time.Duration
-	// Rise is the consecutive successful probes required to (re-)admit a
-	// peer; Fall the consecutive failures required to eject one (0 → 2 each).
-	Rise, Fall int
 	// AttemptTimeout bounds one forwarded request attempt (0 → 1s).
 	AttemptTimeout time.Duration
-	// MaxAttempts bounds peer attempts per request across the candidate
-	// list, hedges included (0 → 3).
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped exponential backoff between
-	// retry attempts (0 → 25ms / 500ms). A peer's Retry-After is honored up
-	// to 4×BackoffMax.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// ForwardBudget bounds one request's total time in the fleet client,
-	// attempts and backoffs included; exhausting it falls back to local
-	// compute (0 → 2.5s; <0 → no budget beyond the request's own deadline).
-	ForwardBudget time.Duration
 	// HedgeAfter, when positive, launches a hedge request to the next
 	// candidate if the current attempt has not answered within it. First
 	// response wins; the loser is cancelled.
 	HedgeAfter time.Duration
-	// MaxHops caps forwarding depth; at the cap an instance computes locally
-	// instead of forwarding (0 → 3).
-	MaxHops int
 	// Transport overrides the peer HTTP transport (nil → a pooled default).
 	Transport http.RoundTripper
 	// Gate, when non-nil, is consulted before and after every peer attempt
@@ -141,43 +141,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.Rise <= 0 {
-		c.Rise = 2
-	}
-	if c.Fall <= 0 {
-		c.Fall = 2
-	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 25 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.ForwardBudget == 0 {
-		c.ForwardBudget = 2500 * time.Millisecond
-	} else if c.ForwardBudget < 0 {
-		c.ForwardBudget = 0
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 3
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
@@ -194,16 +162,6 @@ type peerState struct {
 	changed    time.Time
 }
 
-// counters are the fleet's flat metrics, merged into /metrics by the
-// serving layer.
-type counters struct {
-	attempts, retries, hedges, hedgeWins   atomic.Int64
-	transportErrors, peer5xx, breakerSkips atomic.Int64
-	retryAfterHonored                      atomic.Int64
-	probes, probeFailures                  atomic.Int64
-	ejected, readmitted                    atomic.Int64
-}
-
 // Fleet is one instance's live view of the peer ring: membership, health,
 // and the forwarding client. Create with New, stop with Close.
 type Fleet struct {
@@ -215,10 +173,12 @@ type Fleet struct {
 	ring  *ring
 	peers map[string]*peerState // keyed by address, Self excluded
 
-	c    counters
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	// counts holds the fleet's event counters, each seeded at zero so
+	// /metrics shows the full set before the first event.
+	counts *expvar.Map
+	stop   chan struct{}
+	once   sync.Once
+	wg     sync.WaitGroup
 }
 
 // New builds a Fleet from cfg and starts its health-probe loop (unless
@@ -249,7 +209,12 @@ func New(cfg Config) (*Fleet, error) {
 		// No Client.Timeout: per-attempt contexts own all deadlines.
 		client: &http.Client{Transport: tr},
 		peers:  make(map[string]*peerState),
+		counts: new(expvar.Map).Init(),
 		stop:   make(chan struct{}),
+	}
+	for _, k := range []string{"attempts", "retries", "hedges", "hedge_wins", "transport_errors", "peer_5xx",
+		"breaker_skips", "retry_after_honored", "probes", "probe_failures", "ejected", "readmitted"} {
+		f.counts.Add(k, 0)
 	}
 	peers := cfg.Peers
 	if cfg.PeersFile != "" {
@@ -277,9 +242,6 @@ func (f *Fleet) Close() {
 	f.wg.Wait()
 }
 
-// MaxHops returns the configured forwarding-depth cap.
-func (f *Fleet) MaxHops() int { return f.cfg.MaxHops }
-
 // Self returns this instance's advertised address.
 func (f *Fleet) Self() string { return f.cfg.Self }
 
@@ -296,7 +258,7 @@ func (f *Fleet) SetPeers(peers []string) {
 			members = append(members, p)
 		}
 	}
-	r := buildRing(members, f.cfg.VNodes)
+	r := buildRing(members)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ring = r
@@ -363,7 +325,7 @@ func (f *Fleet) Owner(key string) string {
 func (f *Fleet) Route(key string) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cands := f.ring.candidates(key, 1+f.cfg.Replicas)
+	cands := f.ring.candidates(key, 1+replicas)
 	if len(cands) == 0 || cands[0] == f.cfg.Self {
 		return nil
 	}
@@ -411,8 +373,8 @@ func (f *Fleet) Status() Status {
 	st := Status{
 		Self:       f.cfg.Self,
 		Members:    len(f.ring.nodes),
-		Replicas:   f.cfg.Replicas,
-		MaxHops:    f.cfg.MaxHops,
+		Replicas:   replicas,
+		MaxHops:    MaxHops,
 		HedgeAfter: f.cfg.HedgeAfter.String(),
 		Peers:      make([]PeerStatus, 0, len(f.peers)),
 	}
@@ -436,23 +398,6 @@ func (f *Fleet) Status() Status {
 	return st
 }
 
-// Metrics returns the fleet's flat counters for the /metrics surface.
-func (f *Fleet) Metrics() map[string]int64 {
-	if f == nil {
-		return nil
-	}
-	return map[string]int64{
-		"attempts":            f.c.attempts.Load(),
-		"retries":             f.c.retries.Load(),
-		"hedges":              f.c.hedges.Load(),
-		"hedge_wins":          f.c.hedgeWins.Load(),
-		"transport_errors":    f.c.transportErrors.Load(),
-		"peer_5xx":            f.c.peer5xx.Load(),
-		"breaker_skips":       f.c.breakerSkips.Load(),
-		"retry_after_honored": f.c.retryAfterHonored.Load(),
-		"probes":              f.c.probes.Load(),
-		"probe_failures":      f.c.probeFailures.Load(),
-		"ejected":             f.c.ejected.Load(),
-		"readmitted":          f.c.readmitted.Load(),
-	}
-}
+// Counters returns the fleet's event counters for the serving layer's
+// /metrics and /statusz pages.
+func (f *Fleet) Counters() *expvar.Map { return f.counts }

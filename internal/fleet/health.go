@@ -55,8 +55,8 @@ func (f *Fleet) probeAll() {
 // liveness — is what keeps the ring from routing to an instance that is
 // alive but replaying its snapshot or draining.
 func (f *Fleet) probeOne(addr string) {
-	f.c.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.ProbeTimeout)
+	f.counts.Add("probes", 1)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/readyz", nil)
 	if err != nil {
@@ -65,13 +65,13 @@ func (f *Fleet) probeOne(addr string) {
 	}
 	resp, err := f.client.Do(req)
 	if err != nil {
-		f.c.probeFailures.Add(1)
+		f.counts.Add("probe_failures", 1)
 		f.notePeer(addr, false, fmt.Sprintf("probe: %v", err))
 		return
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		f.c.probeFailures.Add(1)
+		f.counts.Add("probe_failures", 1)
 		f.notePeer(addr, false, fmt.Sprintf("probe: readiness %d", resp.StatusCode))
 		return
 	}
@@ -80,8 +80,8 @@ func (f *Fleet) probeOne(addr string) {
 
 // notePeer folds one health observation — a probe result, or a passive
 // transport failure seen by the forwarding client — into the peer's
-// rise/fall hysteresis. Fall consecutive failures eject the peer from the
-// candidate sets; Rise consecutive successful probes re-admit it. With
+// rise/fall hysteresis. fall consecutive failures eject the peer from the
+// candidate sets; rise consecutive successful probes re-admit it. With
 // probing disabled the fleet has no way to re-admit, so observations are
 // ignored and peers stay permanently up.
 func (f *Fleet) notePeer(addr string, ok bool, detail string) {
@@ -97,20 +97,20 @@ func (f *Fleet) notePeer(addr string, ok bool, detail string) {
 	if ok {
 		st.consecFail, st.consecOK = 0, st.consecOK+1
 		st.lastErr = ""
-		if !st.up && st.consecOK >= f.cfg.Rise {
+		if !st.up && st.consecOK >= rise {
 			st.up = true
 			st.changed = time.Now()
-			f.c.readmitted.Add(1)
+			f.counts.Add("readmitted", 1)
 			f.log.Printf("fleet: peer %s up after %d consecutive probes", addr, st.consecOK)
 		}
 		return
 	}
 	st.consecOK, st.consecFail = 0, st.consecFail+1
 	st.lastErr = detail
-	if st.up && st.consecFail >= f.cfg.Fall {
+	if st.up && st.consecFail >= fall {
 		st.up = false
 		st.changed = time.Now()
-		f.c.ejected.Add(1)
+		f.counts.Add("ejected", 1)
 		f.log.Printf("fleet: peer %s ejected after %d consecutive failures (%s)", addr, st.consecFail, detail)
 	}
 }

@@ -35,7 +35,7 @@ func peerUp(f *Fleet, addr string) func() bool {
 }
 
 // TestProbeRiseFallHysteresis drives a peer through the full health cycle:
-// admitted after Rise consecutive good probes, ejected after Fall
+// admitted after rise consecutive good probes, ejected after fall
 // consecutive bad ones, re-admitted when it recovers.
 func TestProbeRiseFallHysteresis(t *testing.T) {
 	var ready atomic.Bool
@@ -57,9 +57,6 @@ func TestProbeRiseFallHysteresis(t *testing.T) {
 		Self:          "self.test:1",
 		Peers:         []string{addr},
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-		Rise:          2,
-		Fall:          2,
 		Logger:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -67,19 +64,19 @@ func TestProbeRiseFallHysteresis(t *testing.T) {
 	}
 	defer f.Close()
 
-	// New peers start down until the prober has seen Rise consecutive 200s.
+	// New peers start down until the prober has seen rise consecutive 200s.
 	waitFor(t, "initial admission", peerUp(f, addr))
 
 	ready.Store(false)
 	waitFor(t, "ejection", func() bool { return !peerUp(f, addr)() })
-	if m := f.Metrics(); m["ejected"] < 1 || m["probe_failures"] < 2 {
-		t.Errorf("metrics after ejection = %v", m)
+	if e, p := count(f, "ejected"), count(f, "probe_failures"); e < 1 || p < 2 {
+		t.Errorf("after ejection: ejected = %d, probe_failures = %d, want >= 1 and >= 2", e, p)
 	}
 
 	ready.Store(true)
 	waitFor(t, "re-admission", peerUp(f, addr))
-	if m := f.Metrics(); m["readmitted"] < 1 {
-		t.Errorf("readmitted = %d, want >= 1", m["readmitted"])
+	if n := count(f, "readmitted"); n < 1 {
+		t.Errorf("readmitted = %d, want >= 1", n)
 	}
 }
 
@@ -90,8 +87,6 @@ func TestProbeSingleFailureDoesNotEject(t *testing.T) {
 		Self:          "self.test:1",
 		Peers:         []string{"p:1"},
 		ProbeInterval: time.Hour, // loop idle; observations fed by hand
-		Rise:          2,
-		Fall:          2,
 		Logger:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -101,15 +96,15 @@ func TestProbeSingleFailureDoesNotEject(t *testing.T) {
 	f.notePeer("p:1", true, "")
 	f.notePeer("p:1", true, "")
 	if !peerUp(f, "p:1")() {
-		t.Fatal("peer not admitted after Rise successes")
+		t.Fatal("peer not admitted after rise successes")
 	}
 	f.notePeer("p:1", false, "one lost probe")
 	if !peerUp(f, "p:1")() {
-		t.Fatal("a single failure ejected the peer despite Fall=2")
+		t.Fatal("a single failure ejected the peer despite fall=2")
 	}
 	f.notePeer("p:1", false, "second consecutive")
 	if peerUp(f, "p:1")() {
-		t.Fatal("peer still up after Fall consecutive failures")
+		t.Fatal("peer still up after fall consecutive failures")
 	}
 }
 
@@ -140,15 +135,15 @@ func TestSetPeersRetainsHealthState(t *testing.T) {
 		Self:          "self.test:1",
 		Peers:         []string{"a:1", "b:2"},
 		ProbeInterval: time.Hour,
-		Rise:          1,
-		Fall:          1,
 		Logger:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer f.Close()
-	f.notePeer("a:1", true, "")
+	for i := 0; i < rise; i++ {
+		f.notePeer("a:1", true, "")
+	}
 	f.SetPeers([]string{"a:1", "c:3"}) // drop b, add c
 	st := f.Status()
 	if st.Members != 3 { // self + a + c
@@ -235,9 +230,6 @@ func TestRouteFiltersSelfAndDownPeers(t *testing.T) {
 		Self:          "self.test:1",
 		Peers:         []string{"a:1", "b:2"},
 		ProbeInterval: time.Hour, // all peers start down
-		Rise:          1,
-		Fall:          1,
-		Replicas:      2,
 		Logger:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -262,8 +254,10 @@ func TestRouteFiltersSelfAndDownPeers(t *testing.T) {
 	if got := f.Route(peerKey); got != nil {
 		t.Errorf("Route with all peers down = %v, want nil", got)
 	}
-	f.notePeer("a:1", true, "")
-	f.notePeer("b:2", true, "")
+	for i := 0; i < rise; i++ {
+		f.notePeer("a:1", true, "")
+		f.notePeer("b:2", true, "")
+	}
 	cands := f.Route(peerKey)
 	if len(cands) == 0 {
 		t.Fatal("Route returned nothing with all peers up")

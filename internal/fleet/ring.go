@@ -25,10 +25,10 @@ type ringPoint struct {
 	node string
 }
 
-// defaultVNodes is the virtual-point count per member. 64 points over a
+// vnodes is the virtual-point count per member. 64 points over a
 // handful of members keeps the max/min ownership ratio within ~1.5× (see
 // TestRingUniformity) at negligible build and lookup cost.
-const defaultVNodes = 64
+const vnodes = 64
 
 func hash64(s string) uint64 {
 	h := fnv.New64a()
@@ -52,10 +52,7 @@ func mix64(x uint64) uint64 {
 // buildRing constructs the ring for the given members (deduplicated; empty
 // strings dropped). A nil or empty member list yields an empty ring whose
 // candidates are always nil.
-func buildRing(members []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func buildRing(members []string) *ring {
 	seen := make(map[string]bool, len(members))
 	nodes := make([]string, 0, len(members))
 	for _, m := range members {

@@ -20,7 +20,7 @@ func keysN(n int) []string {
 // of a large key population.
 func TestRingUniformity(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3"}
-	r := buildRing(members, defaultVNodes)
+	r := buildRing(members)
 	counts := map[string]int{}
 	keys := keysN(30000)
 	for _, k := range keys {
@@ -41,8 +41,8 @@ func TestRingUniformity(t *testing.T) {
 // key keeps its owner, so a single node loss cannot cold-start the whole
 // fleet's caches.
 func TestRingMinimalRemap(t *testing.T) {
-	before := buildRing([]string{"a:1", "b:2", "c:3", "d:4"}, defaultVNodes)
-	after := buildRing([]string{"a:1", "b:2", "d:4"}, defaultVNodes)
+	before := buildRing([]string{"a:1", "b:2", "c:3", "d:4"})
+	after := buildRing([]string{"a:1", "b:2", "d:4"})
 	keys := keysN(10000)
 	moved := 0
 	for _, k := range keys {
@@ -68,8 +68,8 @@ func TestRingMinimalRemap(t *testing.T) {
 // must stay first with replicas distinct.
 func TestRingDeterministicCandidates(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3", "d:4"}
-	r1 := buildRing(members, defaultVNodes)
-	r2 := buildRing([]string{"d:4", "c:3", "b:2", "a:1"}, defaultVNodes) // same set, shuffled input
+	r1 := buildRing(members)
+	r2 := buildRing([]string{"d:4", "c:3", "b:2", "a:1"}) // same set, shuffled input
 	for _, k := range keysN(500) {
 		c1 := r1.candidates(k, 3)
 		c2 := r2.candidates(k, 3)
@@ -95,17 +95,17 @@ func TestRingDeterministicCandidates(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	if got := buildRing(nil, 0).candidates("k", 3); got != nil {
+	if got := buildRing(nil).candidates("k", 3); got != nil {
 		t.Errorf("empty ring candidates = %v, want nil", got)
 	}
-	if got := buildRing(nil, 0).owner("k"); got != "" {
+	if got := buildRing(nil).owner("k"); got != "" {
 		t.Errorf("empty ring owner = %q, want empty", got)
 	}
-	one := buildRing([]string{"solo:1", "", "solo:1"}, 8) // dedup + drop empties
+	one := buildRing([]string{"solo:1", "", "solo:1"}) // dedup + drop empties
 	if got := one.candidates("k", 5); len(got) != 1 || got[0] != "solo:1" {
 		t.Errorf("single-member candidates = %v", got)
 	}
-	r := buildRing([]string{"a:1", "b:2"}, 8)
+	r := buildRing([]string{"a:1", "b:2"})
 	if got := r.candidates("k", 0); got != nil {
 		t.Errorf("n=0 candidates = %v, want nil", got)
 	}

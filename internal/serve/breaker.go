@@ -34,8 +34,8 @@ func (st breakerState) String() string {
 // breaker is one region's state. Guarded by the owning set's mutex.
 type breaker struct {
 	state      breakerState
-	fails      int  // consecutive eligible failures while closed
-	probing    bool // a half-open probe is in flight
+	fails      int       // consecutive eligible failures while closed
+	probing    bool      // a half-open probe is in flight
 	probeGen   uint64    // token of the probe currently holding the slot
 	probeStart time.Time // when that probe was granted, for the deadline backstop
 	changed    time.Time
@@ -64,7 +64,7 @@ const maxBreakerRegions = 4096
 type breakerSet struct {
 	threshold int
 	cooldown  time.Duration
-	trans     *expvar.Map // open / half-open / close / short-circuit counters
+	counts    *expvar.Map // the server's store: breaker.open / half-open / close / short-circuit / probe-reclaim
 
 	// Test hooks: nil → time.Now / rand.Float64. The fake clock and seeded
 	// jitter let the thundering-herd regression test prove that regions
@@ -76,14 +76,14 @@ type breakerSet struct {
 	m  map[string]*breaker
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration, trans *expvar.Map) *breakerSet {
+func newBreakerSet(threshold int, cooldown time.Duration, counts *expvar.Map) *breakerSet {
 	if threshold <= 0 {
 		return nil
 	}
 	return &breakerSet{
 		threshold: threshold,
 		cooldown:  cooldown,
-		trans:     trans,
+		counts:    counts,
 		m:         make(map[string]*breaker),
 	}
 }
@@ -156,23 +156,23 @@ func (b *breakerSet) allow(region string) (ok bool, probe uint64) {
 	case breakerOpen:
 		if now.Before(br.cooldownAt) {
 			br.shorted++
-			b.trans.Add("short-circuit", 1)
+			b.counts.Add("breaker.short-circuit", 1)
 			return false, 0
 		}
 		br.state = breakerHalfOpen
 		br.changed = now
-		b.trans.Add("half-open", 1)
+		b.counts.Add("breaker.half-open", 1)
 		return true, br.grantProbe(now)
 	default: // half-open
 		if br.probing {
 			if now.Sub(br.probeStart) < b.cooldown {
 				br.shorted++
-				b.trans.Add("short-circuit", 1)
+				b.counts.Add("breaker.short-circuit", 1)
 				return false, 0
 			}
 			// The outstanding probe never resolved within a full cooldown:
 			// reclaim the slot so the region cannot wedge in degraded mode.
-			b.trans.Add("probe-reclaim", 1)
+			b.counts.Add("breaker.probe-reclaim", 1)
 		}
 		return true, br.grantProbe(now)
 	}
@@ -265,7 +265,7 @@ func (b *breakerSet) onResult(region string, ok, eligible bool, cause string) {
 				br.changed = now
 				br.cooldownAt = now.Add(b.jitteredCooldown())
 				br.opens++
-				b.trans.Add("open", 1)
+				b.counts.Add("breaker.open", 1)
 			}
 		}
 	case breakerHalfOpen:
@@ -275,7 +275,7 @@ func (b *breakerSet) onResult(region string, ok, eligible bool, cause string) {
 			br.fails = 0
 			br.probing = false
 			br.changed = now
-			b.trans.Add("close", 1)
+			b.counts.Add("breaker.close", 1)
 		case eligible:
 			br.state = breakerOpen
 			br.probing = false
@@ -283,7 +283,7 @@ func (b *breakerSet) onResult(region string, ok, eligible bool, cause string) {
 			br.cooldownAt = now.Add(b.jitteredCooldown())
 			br.opens++
 			br.lastFail = cause
-			b.trans.Add("open", 1)
+			b.counts.Add("breaker.open", 1)
 		default:
 			// Inconclusive probe (cancelled mid-flight): re-arm so the next
 			// caller probes instead of wedging half-open forever.

@@ -27,9 +27,12 @@ var chaosStatuses = map[int]bool{
 }
 
 // TestChaosMixedFaults is the in-process chaos harness: concurrent traffic
-// across every solver endpoint while a fault injector fails every third
-// solver evaluation, breakers trip and recover on a short cooldown, some
-// clients abandon mid-flight, and the snapshot loop persists throughout.
+// over /v1/optimize, /v1/plan, /v1/delay and /v1/sweep while a fault
+// injector fails every third core.eval — which only the optimizer solves
+// behind optimize, plan and sweep consult; /v1/delay's Padé solve runs
+// unfaulted (see TestRouteFaults) — breakers trip and recover on a short
+// cooldown, some clients abandon mid-flight, and the snapshot loop persists
+// throughout.
 //
 // Invariants, checked per response and at the end:
 //   - only documented statuses, never a 500;

@@ -110,7 +110,7 @@ func (s *Server) degradeOrError(w http.ResponseWriter, cause error, spec reply) 
 	ae := s.mapErrorWithRetry(cause, spec.region)
 	if spec.estimate != nil && !spec.noDegraded && !s.cfg.DisableDegraded && degradable(cause) {
 		if est, eerr := spec.estimate(); eerr == nil {
-			s.metrics.degraded.Add(ae.Kind, 1)
+			s.metrics.counts.Add("degraded."+ae.Kind, 1)
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("X-Degraded", ae.Kind)
 			_ = json.NewEncoder(w).Encode(degradedResp{

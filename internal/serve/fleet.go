@@ -45,10 +45,10 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, path string,
 		return false
 	}
 	hops := fleet.HopsFrom(r.Header)
-	if hops >= s.fleet.MaxHops() {
+	if hops >= fleet.MaxHops {
 		// A forwarding loop (transient ring disagreement during a topology
 		// change) is contained here: the hop-capped instance answers locally.
-		s.metrics.fleetOps.Add("hop-capped", 1)
+		s.metrics.counts.Add("fleet.hop-capped", 1)
 		return false
 	}
 	cands := s.fleet.Route(key)
@@ -61,14 +61,11 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, path string,
 	}
 	pr, err := s.fleet.Forward(r.Context(), cands, path, body, hops+1)
 	if err != nil {
-		s.metrics.fleetOps.Add("fallback-local", 1)
+		s.metrics.counts.Add("fleet.fallback-local", 1)
 		s.cfg.Logger.Printf("fleet: forward %s failed, computing locally: %v", path, err)
 		return false
 	}
-	s.metrics.fleetOps.Add("forwarded", 1)
-	if pr.Hedged {
-		s.metrics.fleetOps.Add("hedge-answered", 1)
-	}
+	s.metrics.counts.Add("fleet.forwarded", 1)
 	if pr.ContentType != "" {
 		w.Header().Set("Content-Type", pr.ContentType)
 	}

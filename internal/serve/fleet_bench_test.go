@@ -73,8 +73,8 @@ func BenchmarkFleetFailover(b *testing.B) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
+	// The dead peer is the one candidate: one failed attempt per request.
 	fc := fastFleet("live.bench:1", []string{deadAddr})
-	fc.MaxAttempts = 1
 	s := New(Config{CacheEntries: -1, Logger: log.New(io.Discard, "", 0), Fleet: fc})
 	b.Cleanup(s.Close)
 	h := s.Handler()

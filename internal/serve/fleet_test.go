@@ -19,16 +19,13 @@ import (
 )
 
 // fastFleet returns forwarding-client settings tuned for tests: no prober
-// (peers permanently up), millisecond backoff, generous attempt budget.
+// (peers permanently up) and a generous per-attempt timeout.
 func fastFleet(self string, peers []string) *fleet.Config {
 	return &fleet.Config{
 		Self:           self,
 		Peers:          peers,
 		ProbeInterval:  -1,
 		AttemptTimeout: 5 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     5 * time.Millisecond,
-		ForwardBudget:  10 * time.Second,
 	}
 }
 
@@ -142,9 +139,9 @@ func TestFleetFallbackLocalOnDeadPeer(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	dead.Close()
 
-	fc := fastFleet("live.test:1", []string{deadAddr})
-	fc.MaxAttempts = 1
-	s, ts := testServer(t, Config{Fleet: fc})
+	// The dead peer is the only other member, so it is the one candidate
+	// and the forward fails after a single attempt.
+	s, ts := testServer(t, Config{Fleet: fastFleet("live.test:1", []string{deadAddr})})
 	body := keyOwnedBy(t, s.Fleet(), deadAddr)
 
 	resp, b := postJSON(t, ts.URL+"/v1/optimize", body)
@@ -185,7 +182,6 @@ func TestFleetHopCapUnderTopologyChurn(t *testing.T) {
 		// not map to its fake self is "owned" by the other — the skewed
 		// topology that would orbit requests forever without the hop cap.
 		fc := fastFleet("skewed-"+strconv.Itoa(i)+".test:1", []string{addrs[1-i]})
-		fc.MaxHops = 3
 		s := New(Config{Logger: log.New(io.Discard, "", 0), Fleet: fc})
 		ts := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: s.Handler()}}
 		ts.Start()

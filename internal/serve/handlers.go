@@ -62,7 +62,7 @@ func (s *Server) cacheGet(key string) (*cached, bool) {
 	}
 	e, ok := s.cache.get(key)
 	if ok {
-		s.metrics.xcache.Add("hit", 1)
+		s.metrics.counts.Add("xcache.hit", 1)
 	}
 	return e, ok
 }

@@ -3,8 +3,10 @@ package serve
 import (
 	"encoding/json"
 	"expvar"
+	"maps"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -62,22 +64,15 @@ func (h *histogram) snapshot() map[string]any {
 	}
 }
 
-// metrics is the server's observability surface, built on unpublished
-// expvar maps (unpublished so multiple servers — e.g. in tests — never
-// collide in the process-global expvar namespace; cmd/rlcd additionally
-// mounts the global /debug/vars page).
+// metrics is the server's observability surface: one counter store keyed
+// "<group>.<name>" (requests, statuses, xcache, ladder, degraded, breaker,
+// snapshot, fleet, sparse) and the per-endpoint latency histograms. The
+// store is an unpublished expvar.Map, so multiple servers — e.g. in tests —
+// never collide in the process-global expvar namespace; cmd/rlcd
+// additionally mounts the global /debug/vars page.
 type metrics struct {
-	start    time.Time
-	requests *expvar.Map // per-endpoint request counts
-	statuses *expvar.Map // per-HTTP-status response counts
-	xcache   *expvar.Map // hit / miss / coalesced / bypass counts
-	ladder   *expvar.Map // "<ladder>|<outcome>" solver recovery-rung counts
-	degraded *expvar.Map // degraded answers by triggering failure kind
-	breaker  *expvar.Map // breaker transitions: open / half-open / close / short-circuit
-
-	snapshotOps *expvar.Map // snapshot lifecycle: save / save_error / load_ok / load_skipped
-	fleetOps    *expvar.Map // forwarding outcomes: forwarded / fallback-local / hop-capped / hedge-answered
-	sparseOps   *expvar.Map // sparse-engine outcomes: solve|<solver>, iterations, fallbacks
+	start  time.Time
+	counts *expvar.Map
 
 	mu      sync.Mutex
 	latency map[string]*histogram // per endpoint
@@ -85,17 +80,9 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		start:       time.Now(),
-		requests:    new(expvar.Map).Init(),
-		statuses:    new(expvar.Map).Init(),
-		xcache:      new(expvar.Map).Init(),
-		ladder:      new(expvar.Map).Init(),
-		degraded:    new(expvar.Map).Init(),
-		breaker:     new(expvar.Map).Init(),
-		snapshotOps: new(expvar.Map).Init(),
-		fleetOps:    new(expvar.Map).Init(),
-		sparseOps:   new(expvar.Map).Init(),
-		latency:     make(map[string]*histogram),
+		start:   time.Now(),
+		counts:  new(expvar.Map).Init(),
+		latency: make(map[string]*histogram),
 	}
 }
 
@@ -103,8 +90,8 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	m.requests.Add(endpoint, 1)
-	m.statuses.Add(strconv.Itoa(status), 1)
+	m.counts.Add("requests."+endpoint, 1)
+	m.counts.Add("statuses."+strconv.Itoa(status), 1)
 	m.mu.Lock()
 	h := m.latency[endpoint]
 	if h == nil {
@@ -120,10 +107,10 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 // iterations the iterative path spent, and how often it fell back to the
 // direct factorization.
 func (m *metrics) recordSparse(st sparse.EngineStats) {
-	m.sparseOps.Add("solve|"+st.Solver, 1)
-	m.sparseOps.Add("iterations", int64(st.Iterations))
+	m.counts.Add("sparse.solve|"+st.Solver, 1)
+	m.counts.Add("sparse.iterations", int64(st.Iterations))
 	if st.Fallbacks > 0 {
-		m.sparseOps.Add("fallbacks", 1)
+		m.counts.Add("sparse.fallbacks", 1)
 	}
 }
 
@@ -134,15 +121,19 @@ func (m *metrics) recordLadder(rep *diag.Report) {
 		return
 	}
 	for _, a := range rep.Attempts {
-		m.ladder.Add(a.Ladder+"|"+string(a.Outcome), 1)
+		m.counts.Add("ladder."+a.Ladder+"|"+string(a.Outcome), 1)
 	}
 }
 
-func expvarMapToGo(m *expvar.Map) map[string]int64 {
+// group renders the counters of m whose key starts with prefix, keyed by
+// the rest of the key: a serve group of the server's store ("ladder."), or
+// all of the fleet's counters (""). It is the one renderer /metrics and
+// /statusz share.
+func group(m *expvar.Map, prefix string) map[string]int64 {
 	out := make(map[string]int64)
 	m.Do(func(kv expvar.KeyValue) {
-		if v, ok := kv.Value.(*expvar.Int); ok {
-			out[kv.Key] = v.Value()
+		if name, ok := strings.CutPrefix(kv.Key, prefix); ok {
+			out[name] = kv.Value.(*expvar.Int).Value()
 		}
 	})
 	return out
@@ -180,28 +171,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.mu.Unlock()
 	snap := map[string]any{
 		"uptime_s":  time.Since(m.start).Seconds(),
-		"requests":  expvarMapToGo(m.requests),
-		"statuses":  expvarMapToGo(m.statuses),
 		"cache":     s.cacheStats(),
-		"xcache":    expvarMapToGo(m.xcache),
 		"admission": s.admissionStats(),
 		"latency":   lat,
-		"ladder":    expvarMapToGo(m.ladder),
-		"degraded":  expvarMapToGo(m.degraded),
-		"breaker":   expvarMapToGo(m.breaker),
-		"snapshot":  expvarMapToGo(m.snapshotOps),
-		"sparse":    expvarMapToGo(m.sparseOps),
+	}
+	for _, g := range []string{"requests", "statuses", "xcache", "ladder", "degraded", "breaker", "snapshot", "sparse"} {
+		snap[g] = group(m.counts, g+".")
 	}
 	if s.fleet != nil {
-		fl := map[string]int64{"ready": 0}
+		fl := group(m.counts, "fleet.")
+		maps.Copy(fl, group(s.fleet.Counters(), ""))
+		fl["ready"] = 0
 		if s.Ready() {
 			fl["ready"] = 1
-		}
-		for k, v := range expvarMapToGo(m.fleetOps) {
-			fl[k] = v
-		}
-		for k, v := range s.fleet.Metrics() {
-			fl[k] = v
 		}
 		snap["fleet"] = fl
 	}

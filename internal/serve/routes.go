@@ -135,7 +135,7 @@ func (s *Server) fill(ctx context.Context, key, region, ctype string, timeout ti
 	if shared {
 		src = "coalesced"
 	}
-	s.metrics.xcache.Add(src, 1)
+	s.metrics.counts.Add("xcache."+src, 1)
 	return e, src, err
 }
 

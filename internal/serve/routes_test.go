@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,21 +12,21 @@ import (
 	"strings"
 	"testing"
 
+	"rlcint/internal/diag"
 	"rlcint/internal/pdn"
 )
 
-// TestCacheKeysPinned pins every route's canonical cache keys (for streams,
-// each chunk's key). Keys are what warm snapshot replay and fleet ownership
-// hash, so a change here cold-starts every restored snapshot and reshuffles
-// ownership mid rolling upgrade: it must be deliberate, never a side effect.
-func TestCacheKeysPinned(t *testing.T) {
-	s := New(Config{Logger: log.New(io.Discard, "", 0)})
-	defer s.Close()
+// routeSamples holds one valid body per route and the canonical cache keys
+// it maps to (for streams, each chunk's key).
+var routeSamples = func() map[string]struct {
+	body string
+	keys []string
+} {
 	ls := make([]string, 40) // two sweep chunks: 32 + 8 points
 	for i := range ls {
 		ls[i] = fmt.Sprintf("%de-7", i)
 	}
-	pinned := map[string]struct {
+	return map[string]struct {
 		body string
 		keys []string
 	}{
@@ -57,8 +58,17 @@ func TestCacheKeysPinned(t *testing.T) {
 		"/v1/pareto": {`{"tech":"250nm","l":1e-6,"alpha":0.15,"freq":1e9,"points":9,"max_weight":2}`,
 			[]string{"pareto|250nm|3eb0c6f7a0b5ed8d|3fe0000000000000|3fc3333333333333|41cdcd6500000000|9|4000000000000000"}},
 	}
+}()
+
+// TestCacheKeysPinned pins every route's canonical cache keys (for streams,
+// each chunk's key). Keys are what warm snapshot replay and fleet ownership
+// hash, so a change here cold-starts every restored snapshot and reshuffles
+// ownership mid rolling upgrade: it must be deliberate, never a side effect.
+func TestCacheKeysPinned(t *testing.T) {
+	s := New(Config{Logger: log.New(io.Discard, "", 0)})
+	defer s.Close()
 	for _, rt := range routeTable {
-		pin, ok := pinned[rt.path]
+		pin, ok := routeSamples[rt.path]
 		if !ok {
 			t.Errorf("%s: no pinned cache key", rt.path)
 			continue
@@ -81,6 +91,64 @@ func TestCacheKeysPinned(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, pin.keys) {
 			t.Errorf("%s: keys\n got %q\nwant %q", rt.path, got, pin.keys)
+		}
+	}
+}
+
+// TestRouteFaults pins which routes the server's fault injector reaches. It
+// is threaded into the optimizer solves only: with every core.eval faulted,
+// /v1/optimize and /v1/plan degrade to their closed-form estimates and
+// /v1/sweep (no estimate) fails 422, while the other nine rows — the Padé
+// delay, the closed-form rows, the PDN and power solvers — answer as if no
+// fault were set; a degraded row opted out with no_degraded answers 422
+// with the degraded reason as its kind. A faulted core.stationarity is
+// recovered by the Nelder–Mead rung, so every row answers 200 undegraded.
+// No row may 500.
+func TestRouteFaults(t *testing.T) {
+	type outcome struct {
+		status   int
+		degraded string // X-Degraded
+		kind     string // error envelope kind
+	}
+	for _, tc := range []struct {
+		op      string
+		faulted map[string]outcome // rows not listed answer 200 undegraded
+	}{
+		{"core.eval", map[string]outcome{
+			"/v1/optimize": {200, "non-convergence", ""},
+			"/v1/plan":     {200, "non-convergence", ""},
+			"/v1/sweep":    {422, "", "non-convergence"},
+		}},
+		{"core.stationarity", nil},
+	} {
+		_, ts := testServer(t, Config{
+			BreakerThreshold: -1,
+			Injector:         diag.FaultEvery(tc.op, 1, diag.ErrNonConvergence),
+		})
+		for _, rt := range routeTable {
+			want, ok := tc.faulted[rt.path]
+			if !ok {
+				want = outcome{status: 200}
+			}
+			bodies := []string{routeSamples[rt.path].body}
+			wants := []outcome{want}
+			if want.degraded != "" {
+				bodies = append(bodies, strings.TrimSuffix(bodies[0], "}")+`,"no_degraded":true}`)
+				wants = append(wants, outcome{422, "", want.degraded})
+			}
+			for i, b := range bodies {
+				resp, body := postJSON(t, ts.URL+rt.path, b)
+				var env struct {
+					Error apiError `json:"error"`
+				}
+				if resp.StatusCode != 200 {
+					_ = json.Unmarshal(body, &env)
+				}
+				got := outcome{resp.StatusCode, resp.Header.Get("X-Degraded"), env.Error.Kind}
+				if got != wants[i] || got.status == 500 {
+					t.Errorf("%s %s with %s faulted: got %+v, want %+v (body %.200s)", rt.path, b, tc.op, got, wants[i], body)
+				}
+			}
 		}
 	}
 }

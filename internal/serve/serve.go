@@ -105,8 +105,11 @@ type Config struct {
 	// are forwarded to their key's ring owner (see internal/fleet). The
 	// fleet's Gate, Logger, and Injector default to this server's.
 	Fleet *fleet.Config
-	// Injector injects solver faults into every solve for chaos testing
-	// (nil in production).
+	// Injector injects solver faults for chaos testing (nil in production).
+	// It reaches the optimizer solves only: /v1/optimize and /v1/plan
+	// (degraded on failure) and /v1/sweep; /v1/delay, /v1/plan-power,
+	// /v1/pareto, /v1/pdn/* and the closed-form rows never consult it (see
+	// TestRouteFaults).
 	Injector *diag.Injector
 	// Logger receives one structured access-log line per request (nil →
 	// stderr).
@@ -200,7 +203,7 @@ func New(cfg Config) *Server {
 		abort:   abort,
 		readyCh: make(chan struct{}),
 	}
-	s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, s.metrics.breaker)
+	s.breakers = newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, s.metrics.counts)
 	if cfg.Fleet != nil {
 		fc := *cfg.Fleet
 		if fc.Gate == nil {

@@ -155,25 +155,27 @@ func writeSnapshotFile(path string, data []byte) error {
 	return nil
 }
 
-// snapStats tracks the snapshot lifecycle for /statusz and /metrics.
+// snapStats tracks the snapshot lifecycle for /statusz; the save and load
+// counts live in the counter store's snapshot group.
 type snapStats struct {
-	mu         sync.Mutex
-	restored   int    // entries replayed into the cache at startup
-	loadNote   string // "ok" / "none" / the skip reason
-	saves      int64
-	saveErrors int64
-	lastSave   time.Time
-	lastSaveN  int // entries in the last successful save
+	mu        sync.Mutex
+	restored  int    // entries replayed into the cache at startup
+	loadNote  string // "ok" / "none" / the skip reason
+	lastSave  time.Time
+	lastSaveN int // entries in the last successful save
 }
 
-func (st *snapStats) snapshot() map[string]any {
+// snapshotStatus is /statusz's snapshot block.
+func (s *Server) snapshotStatus() map[string]any {
+	ops := group(s.metrics.counts, "snapshot.")
+	st := &s.snap
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := map[string]any{
 		"restored_entries": st.restored,
 		"load":             st.loadNote,
-		"saves":            st.saves,
-		"save_errors":      st.saveErrors,
+		"saves":            ops["save"],
+		"save_errors":      ops["save_error"],
 	}
 	if !st.lastSave.IsZero() {
 		out["last_save_unix"] = st.lastSave.Unix()
@@ -207,7 +209,7 @@ func (s *Server) loadCacheSnapshot() {
 	entries, err := decodeSnapshot(data)
 	if err != nil {
 		note = fmt.Sprintf("skipped: %v", err)
-		s.metrics.snapshotOps.Add("load_skipped", 1)
+		s.metrics.counts.Add("snapshot.load_skipped", 1)
 		s.cfg.Logger.Printf("snapshot load %s: %v (cold start)", s.cfg.SnapshotPath, err)
 		return
 	}
@@ -215,7 +217,7 @@ func (s *Server) loadCacheSnapshot() {
 		s.cachePut(e)
 	}
 	note, restored = "ok", len(entries)
-	s.metrics.snapshotOps.Add("load_ok", 1)
+	s.metrics.counts.Add("snapshot.load_ok", 1)
 	s.cfg.Logger.Printf("snapshot load %s: restored %d entries", s.cfg.SnapshotPath, len(entries))
 }
 
@@ -231,21 +233,16 @@ func (s *Server) SaveSnapshot() error {
 	if err == nil {
 		err = writeSnapshotFile(s.cfg.SnapshotPath, data)
 	}
-	s.snap.mu.Lock()
 	if err != nil {
-		s.snap.saveErrors++
-	} else {
-		s.snap.saves++
-		s.snap.lastSave = time.Now()
-		s.snap.lastSaveN = len(entries)
-	}
-	s.snap.mu.Unlock()
-	if err != nil {
-		s.metrics.snapshotOps.Add("save_error", 1)
+		s.metrics.counts.Add("snapshot.save_error", 1)
 		s.cfg.Logger.Printf("snapshot save %s: %v", s.cfg.SnapshotPath, err)
 		return err
 	}
-	s.metrics.snapshotOps.Add("save", 1)
+	s.snap.mu.Lock()
+	s.snap.lastSave = time.Now()
+	s.snap.lastSaveN = len(entries)
+	s.snap.mu.Unlock()
+	s.metrics.counts.Add("snapshot.save", 1)
 	return nil
 }
 

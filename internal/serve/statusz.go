@@ -29,13 +29,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			"breaker_cooldown":   s.cfg.BreakerCooldown.String(),
 			"degraded_enabled":   !s.cfg.DisableDegraded,
 		},
-		"snapshot": s.snap.snapshot(),
+		"snapshot": s.snapshotStatus(),
 		"breakers": map[string]any{
 			"enabled":     s.breakers != nil,
-			"transitions": expvarMapToGo(s.metrics.breaker),
+			"transitions": group(s.metrics.counts, "breaker."),
 			"regions":     s.breakers.statuses(),
 		},
-		"degraded":  expvarMapToGo(s.metrics.degraded),
+		"degraded":  group(s.metrics.counts, "degraded."),
 		"cache":     s.cacheStats(),
 		"admission": s.admissionStats(),
 		"readiness": map[string]any{
@@ -46,8 +46,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	if s.fleet != nil {
 		snap["fleet"] = map[string]any{
 			"status":   s.fleet.Status(),
-			"forwards": expvarMapToGo(s.metrics.fleetOps),
-			"client":   s.fleet.Metrics(),
+			"forwards": group(s.metrics.counts, "fleet."),
+			"client":   group(s.fleet.Counters(), ""),
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -34,7 +34,7 @@ start_member() {
 	fi
 	# shellcheck disable=SC2086
 	"$work/rlcd" -addr "127.0.0.1:$1" -self "$2" $3 \
-		-probe-interval 100ms -probe-rise 2 -probe-fall 2 \
+		-probe-interval 100ms \
 		-forward-timeout 500ms -hedge-after 250ms \
 		-breaker-threshold 10 -breaker-cooldown 2s \
 		2>"$work/$4" &
@@ -65,7 +65,7 @@ wait_ready "$a2" m2.log
 wait_ready "$a3" m3.log
 grep -q 'fleet: self=' "$work/m1.log" || { echo "fleet_smoke: FAIL: no fleet boot log" >&2; cat "$work/m1.log" >&2; exit 1; }
 
-# Readiness is per-instance; peer admission takes -probe-rise successful
+# Readiness is per-instance; peer admission takes two successful
 # probes on top of that. Wait until member 1 routes to both peers before
 # expecting forwards.
 n=0
