@@ -22,6 +22,10 @@
 //	POST /v1/sweep        {"tech","ls":[...],"f","warm"}  → NDJSON stream
 //	POST /v1/check/oxide  {"tech","overshoot_v"}          → oxide report
 //	POST /v1/check/wire   {"peak_j","rms_j"}              → wire report
+//	POST /v1/pdn/ir       {"nx","ny",...mesh}             → DC IR drop
+//	POST /v1/pdn/impedance {"nx","ny","f_start","f_stop"} → Z(f) profile
+//	POST /v1/plan-power   {"tech","l","f","alpha","freq","length"} → power plan
+//	POST /v1/pareto       {"tech","l","f","alpha","freq"} → NDJSON front
 //	GET  /healthz  GET /readyz  GET /metrics  GET /statusz
 //	     /debug/pprof/  /debug/vars
 //

@@ -14,10 +14,10 @@
 // Like runctl.Stream, the engine is cancellation-aware (one controller Tick
 // per point), leak-free (Run returns only after every worker exited), and
 // panic-containing (a panic in eval surfaces as a typed diag.ErrPanic
-// error). Unlike Stream — which drops the value of a failed item — Run
-// keeps every completed point and returns the longest error-free prefix
-// alongside the first error, honouring the partial-result contract of the
-// sweep layer.
+// error), and a failed run keeps the longest error-free prefix alongside
+// the lowest-indexed error — the partial-result contract of the sweep
+// layer. Unlike Stream, which emits that prefix as it completes, Run
+// returns it as one slice once the pool has drained.
 package batch
 
 import (

@@ -20,8 +20,8 @@ const (
 
 // Attempt records one rung of a recovery ladder.
 type Attempt struct {
-	Ladder  string  // ladder name, e.g. "dc-gmin", "tran-step", "opt-newton"
-	Rung    string  // rung identity, e.g. "gmin=1e-05", "be-fallback"
+	Ladder  string // ladder name, e.g. "dc-gmin", "tran-step", "opt-newton"
+	Rung    string // rung identity, e.g. "gmin=1e-05", "be-fallback"
 	Outcome Outcome
 	Detail  string // free-form context ("t=1.2e-9", "restored x from gmin=1e-3")
 	Err     error  // failure cause for OutcomeFailed rungs

@@ -17,9 +17,10 @@ import (
 //
 //   - bounded concurrency: at most workers (default GOMAXPROCS) goroutines
 //     run fn at any moment;
-//   - cancellation-aware: the shared Controller is ticked once per item, so
-//     a cancelled context, expired deadline, or exhausted budget stops the
-//     pool within one item per worker;
+//   - cancellation-aware: the shared Controller is ticked once per item,
+//     in index order, so a cancelled context, expired deadline, or
+//     exhausted budget stops the pool within one item per worker, and a
+//     MaxIters of k runs exactly items 0..k-1 when fn does not tick ctl;
 //   - ordered streaming: emit(i, v) is called from the calling goroutine in
 //     strictly increasing i with no gaps, so rows already emitted are valid
 //     prefixes of the full result even when the run is cut short;
@@ -28,9 +29,11 @@ import (
 //   - panic containment: a panic in fn is converted into a typed
 //     diag.ErrPanic error instead of crashing the process.
 //
-// The first error (from run control, fn, or emit) wins and is returned;
-// emitted prefixes stay emitted. emit may be nil when only fn's side
-// effects matter.
+// On an error (from run control, fn, or emit) the pool stops claiming
+// items and drains. Like batch.Run, Stream then still emits the longest
+// error-free prefix — every item below the lowest failing index, including
+// those that finish after a later item failed — and returns that
+// lowest-indexed error. emit may be nil when only fn's side effects matter.
 func Stream[T any](ctl *Controller, workers, n int, fn func(i int) (T, error), emit func(i int, v T) error) error {
 	if n <= 0 {
 		return ctl.Check("runctl.Stream")
@@ -47,7 +50,11 @@ func Stream[T any](ctl *Controller, workers, n int, fn func(i int) (T, error), e
 		v   T
 		err error
 	}
-	var next atomic.Int64
+	// An item is claimed and ticked under one lock, so Stream's ticks run in
+	// index order: a stop can fail an item only after every lower item's
+	// tick has passed.
+	var claim sync.Mutex
+	next := 0
 	var stop atomic.Bool
 	out := make(chan item)
 	var wg sync.WaitGroup
@@ -59,13 +66,18 @@ func Stream[T any](ctl *Controller, workers, n int, fn func(i int) (T, error), e
 				if stop.Load() {
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				claim.Lock()
+				it := item{i: next}
+				next++
+				if it.i < n {
+					it.err = ctl.Tick("runctl.Stream")
+				}
+				claim.Unlock()
+				if it.i >= n {
 					return
 				}
-				it := item{i: i}
-				if it.err = ctl.Tick("runctl.Stream"); it.err == nil {
-					it.v, it.err = guarded(fn, i)
+				if it.err == nil {
+					it.v, it.err = guarded(fn, it.i)
 				}
 				out <- it
 				if it.err != nil {
@@ -79,15 +91,18 @@ func Stream[T any](ctl *Controller, workers, n int, fn func(i int) (T, error), e
 		close(out)
 	}()
 
+	// Every index below the lowest failing one was claimed before it, so it
+	// still arrives; items above it are dropped while the pool drains.
 	pending := make(map[int]T)
 	emitNext := 0
-	var firstErr error
+	errAt := n
+	var lowErr error
 	for it := range out {
-		if firstErr != nil {
-			continue // draining so the workers can exit
+		if it.i > errAt {
+			continue
 		}
 		if it.err != nil {
-			firstErr = it.err
+			errAt, lowErr = it.i, it.err
 			stop.Store(true)
 			continue
 		}
@@ -95,21 +110,21 @@ func Stream[T any](ctl *Controller, workers, n int, fn func(i int) (T, error), e
 			continue
 		}
 		pending[it.i] = it.v
-		for {
+		for emitNext < errAt {
 			v, ok := pending[emitNext]
 			if !ok {
 				break
 			}
 			delete(pending, emitNext)
 			if err := emit(emitNext, v); err != nil {
-				firstErr = err
+				errAt, lowErr = emitNext, err
 				stop.Store(true)
 				break
 			}
 			emitNext++
 		}
 	}
-	return firstErr
+	return lowErr
 }
 
 // guarded calls fn(i) with panic containment so one poisoned work item

@@ -57,6 +57,66 @@ func TestStreamFirstErrorWinsAndPoolDrains(t *testing.T) {
 	}
 }
 
+// TestStreamEmitsPrefixBelowLowestError: a slow item finishes after a later
+// item has failed. Every item below the lowest failing index must still be
+// emitted, in order, and that item's error returned — not the first error
+// to arrive.
+func TestStreamEmitsPrefixBelowLowestError(t *testing.T) {
+	errLow, errHigh := errors.New("item 3"), errors.New("item 5")
+	for _, tc := range []struct {
+		name    string
+		workers int
+		limits  Limits
+		fn      func(i int) (int, error)
+		want    []int
+		wantErr error
+	}{
+		{"fn error", 2, Limits{}, func(i int) (int, error) {
+			switch i {
+			case 0:
+				time.Sleep(50 * time.Millisecond)
+			case 5:
+				return 0, errHigh
+			}
+			return i, nil
+		}, []int{0, 1, 2, 3, 4}, errHigh},
+		{"iteration budget", 2, Limits{MaxIters: 5}, func(i int) (int, error) {
+			if i == 0 {
+				time.Sleep(50 * time.Millisecond)
+			}
+			return i, nil
+		}, []int{0, 1, 2, 3, 4}, diag.ErrBudget},
+		{"lowest error wins", 3, Limits{}, func(i int) (int, error) {
+			switch i {
+			case 0:
+				time.Sleep(50 * time.Millisecond)
+			case 3:
+				time.Sleep(20 * time.Millisecond)
+				return 0, errLow
+			case 5:
+				return 0, errHigh
+			}
+			return i, nil
+		}, []int{0, 1, 2}, errLow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.CheckGoroutines(t)
+			var got []int
+			err := Stream(New(context.Background(), tc.limits), tc.workers, 100, tc.fn,
+				func(i, v int) error {
+					got = append(got, i)
+					return nil
+				})
+			if !errors.Is(err, tc.wantErr) {
+				t.Errorf("err = %v, want %v", err, tc.wantErr)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("emitted %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestStreamCancellationStopsWorkers(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	ctx, cancel := context.WithCancel(context.Background())

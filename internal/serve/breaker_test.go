@@ -304,9 +304,9 @@ func TestBreakerProbeAbortAndReclaim(t *testing.T) {
 // the whole region short-circuiting until restart.
 func TestBreakerProbeSurvivesAdmissionReject(t *testing.T) {
 	const (
-		modeFail = iota // region requests fail with non-convergence
-		modeBlock       // solver parks on the release channel
-		modeOK          // solver healthy
+		modeFail  = iota // region requests fail with non-convergence
+		modeBlock        // solver parks on the release channel
+		modeOK           // solver healthy
 	)
 	var mode atomic.Int64
 	release := make(chan struct{})

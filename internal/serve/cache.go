@@ -27,7 +27,7 @@ type lruCache struct {
 	ll         *list.List // front = most recently used
 	items      map[string]*list.Element
 
-	hits, misses, evictions int64
+	misses, evictions int64
 }
 
 func newLRUCache(maxEntries int, maxBytes int64) *lruCache {
@@ -48,7 +48,6 @@ func (c *lruCache) get(key string) (*cached, bool) {
 		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.ll.MoveToFront(el)
 	return el.Value.(*cached), true
 }
@@ -98,9 +97,10 @@ func (c *lruCache) export() []*cached {
 	return out
 }
 
-// stats snapshots the counters and current occupancy.
-func (c *lruCache) stats() (hits, misses, evictions, entries, bytes int64) {
+// stats snapshots the counters and current occupancy. Hits are counted
+// once, by the server's xcache.hit.
+func (c *lruCache) stats() (misses, evictions, entries, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, int64(c.ll.Len()), c.bytes
+	return c.misses, c.evictions, int64(c.ll.Len()), c.bytes
 }

@@ -22,7 +22,7 @@ func TestLRUCacheEntryBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.put(entry(fmt.Sprintf("k%d", i), 10))
 	}
-	_, _, evictions, entries, _ := c.stats()
+	_, evictions, entries, _ := c.stats()
 	if entries != 3 {
 		t.Errorf("entries = %d, want 3", entries)
 	}
@@ -48,7 +48,7 @@ func TestLRUCacheByteBound(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.put(entry(fmt.Sprintf("k%d", i), 134))
 	}
-	_, _, _, entries, bytes := c.stats()
+	_, _, entries, bytes := c.stats()
 	if entries != 3 {
 		t.Errorf("entries = %d, want 3 under the 600-byte bound", entries)
 	}
@@ -73,7 +73,7 @@ func TestLRUCacheRecencyAndRefresh(t *testing.T) {
 	}
 	// Refreshing an existing key must not duplicate it.
 	c.put(entry("a", 500))
-	if _, _, _, entries, _ := c.stats(); entries != 2 {
+	if _, _, entries, _ := c.stats(); entries != 2 {
 		t.Errorf("entries after refresh = %d, want 2", entries)
 	}
 }
@@ -81,7 +81,7 @@ func TestLRUCacheRecencyAndRefresh(t *testing.T) {
 func TestLRUCacheOversizedEntryNotAdmitted(t *testing.T) {
 	c := newLRUCache(0, 100)
 	c.put(entry("big", 1000))
-	if _, _, _, entries, _ := c.stats(); entries != 0 {
+	if _, _, entries, _ := c.stats(); entries != 0 {
 		t.Error("entry larger than the byte bound must not be admitted")
 	}
 }

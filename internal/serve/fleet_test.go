@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,15 +75,23 @@ func startFleetMembers(t testing.TB, n int, mutate func(i int, cfg *Config)) ([]
 // away from) a specific shard.
 func keyOwnedBy(t testing.TB, f *fleet.Fleet, owner string) (body string) {
 	t.Helper()
-	for i := 1; i < 10000; i++ {
+	return keysOwnedBy(t, f, owner, 1)[0]
+}
+
+// keysOwnedBy is keyOwnedBy for the first n distinct such requests.
+func keysOwnedBy(t testing.TB, f *fleet.Fleet, owner string, n int) (bodies []string) {
+	t.Helper()
+	for i := 1; i < 10000 && len(bodies) < n; i++ {
 		l := 1e-6 + float64(i)*1e-9
 		q := optimizeReq{Tech: "100nm", L: l, F: 0.5}
 		if f.Owner(q.key()) == owner {
-			return fmt.Sprintf(`{"tech":"100nm","l":%g,"f":0.5}`, l)
+			bodies = append(bodies, fmt.Sprintf(`{"tech":"100nm","l":%g,"f":0.5}`, l))
 		}
 	}
-	t.Fatalf("no key owned by %s in 10000 tries", owner)
-	return ""
+	if len(bodies) < n {
+		t.Fatalf("%d of %d keys owned by %s in 10000 tries", len(bodies), n, owner)
+	}
+	return bodies
 }
 
 // TestFleetForwardedHit: a request landing on the wrong instance is
@@ -155,6 +164,67 @@ func TestFleetFallbackLocalOnDeadPeer(t *testing.T) {
 	fl, _ := m["fleet"].(map[string]any)
 	if fb, _ := fl["fallback-local"].(float64); fb < 1 {
 		t.Errorf("fleet.fallback-local = %v, want >= 1 (metrics %v)", fl["fallback-local"], fl)
+	}
+}
+
+// TestFleetPeerBreakerSkipsFailingPeer: a peer that passes its readiness
+// probe but answers every forward with a 500 trips its peer|host:port
+// breaker after BreakerThreshold failures; the next forward skips it at
+// launch instead of dialing it, and every request still answers locally.
+func TestFleetPeerBreakerSkipsFailingPeer(t *testing.T) {
+	var posts atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+			http.Error(w, "peer failure", http.StatusInternalServerError)
+			return
+		}
+		w.WriteHeader(http.StatusOK) // /readyz
+	}))
+	defer peer.Close()
+	peerAddr := peer.Listener.Addr().String()
+
+	s, ts := testServer(t, Config{
+		BreakerThreshold: 2,
+		BreakerCooldown:  time.Hour,
+		Fleet:            fastFleet("live.test:1", []string{peerAddr}),
+	})
+	for i, body := range keysOwnedBy(t, s.Fleet(), peerAddr, 3) {
+		resp, b := postJSON(t, ts.URL+"/v1/optimize", body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("request %d: status %d X-Cache %q, want 200 miss (local compute): %.200s",
+				i, resp.StatusCode, resp.Header.Get("X-Cache"), b)
+		}
+	}
+	if n := posts.Load(); n != 2 {
+		t.Errorf("peer received %d POSTs, want 2 (the third is skipped by the open breaker)", n)
+	}
+
+	m := metricsSnapshot(t, ts.URL)
+	fl, _ := m["fleet"].(map[string]any)
+	for name, want := range map[string]float64{"peer_5xx": 2, "breaker_skips": 1, "fallback-local": 3} {
+		if got, _ := fl[name].(float64); got != want {
+			t.Errorf("fleet.%s = %v, want %v (metrics %v)", name, fl[name], want, fl)
+		}
+	}
+
+	var sz struct {
+		Breakers struct {
+			Regions []breakerStatus `json:"regions"`
+		} `json:"breakers"`
+	}
+	getJSON(t, ts.URL+"/statusz", &sz)
+	var found bool
+	for _, r := range sz.Breakers.Regions {
+		if r.Region == peerRegion(peerAddr) {
+			found = true
+			if r.State != "open" || r.ShortCircuits != 1 {
+				t.Errorf("/statusz %s = %+v, want open with 1 short-circuit", r.Region, r)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("/statusz breakers.regions = %+v, want %s listed", sz.Breakers.Regions, peerRegion(peerAddr))
 	}
 }
 

@@ -179,7 +179,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 		if err != nil {
 			// A rejected snapshot must leave the cache cold.
-			if _, _, _, n, _ := s.cache.stats(); n != 0 {
+			if _, _, n, _ := s.cache.stats(); n != 0 {
 				t.Fatalf("rejected snapshot still populated %d cache entries", n)
 			}
 		}

@@ -55,7 +55,8 @@ func stageOf(node tech.Node, l, h, k float64) tline.Stage {
 
 // cacheGet/cachePut respect the cache-disabled configuration (CacheEntries
 // < 0) so benchmarks and tests can exercise the cold path. cacheGet counts
-// its hits; fill counts every miss.
+// its hits (the one count /metrics shows as xcache.hit and cache.hits); fill
+// counts every miss.
 func (s *Server) cacheGet(key string) (*cached, bool) {
 	if s.cfg.CacheEntries < 0 {
 		return nil, false

@@ -140,8 +140,13 @@ func group(m *expvar.Map, prefix string) map[string]int64 {
 }
 
 // cacheStats and admissionStats are the gauges /metrics and /statusz share.
+// cache.hits renders the store's xcache.hit, the one count of a cache hit.
 func (s *Server) cacheStats() map[string]int64 {
-	hits, misses, evictions, entries, bytes := s.cache.stats()
+	misses, evictions, entries, bytes := s.cache.stats()
+	var hits int64
+	if v, ok := s.metrics.counts.Get("xcache.hit").(*expvar.Int); ok {
+		hits = v.Value()
+	}
 	return map[string]int64{
 		"hits":      hits,
 		"misses":    misses,

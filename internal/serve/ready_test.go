@@ -113,7 +113,7 @@ func TestReadyzDuringSnapshotReplay(t *testing.T) {
 	if code, _ := getReadyz(t, ts.URL); code != http.StatusOK {
 		t.Fatalf("readyz after replay = %d, want 200", code)
 	}
-	_, _, _, entries, _ := s.cache.stats()
+	_, _, entries, _ := s.cache.stats()
 	if entries != 1 {
 		t.Errorf("cache entries after replay = %d, want the 1 snapshot entry", entries)
 	}

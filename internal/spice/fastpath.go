@@ -49,11 +49,11 @@ import (
 // documentation recommends for MNA systems).
 const fastPivTol = 1e-3
 
-// maxCachedFactors bounds the linear-bypass factorization cache. A fixed
-// grid run needs a handful of entries (base dt in BE and TR flavours plus
-// halved recovery steps); the adaptive stepper generates unbounded dt
-// values, so on overflow the cache is dropped and rebuilt with whatever
-// configurations are now in play.
+// maxCachedFactors bounds the linear-bypass factorization cache. A grid
+// step's dt, tTarget − t, varies in its last bits from step to step, so a
+// plain run already keys 11 entries at 200 steps (14 at 2500), and a
+// recovery ladder adds its halvings; on overflow the cache is dropped and
+// rebuilt with whatever configurations are now in play.
 const maxCachedFactors = 12
 
 // luKey identifies a timestep configuration with an x-independent Jacobian:

@@ -255,25 +255,46 @@ func TestFastPathRestartBitExact(t *testing.T) {
 	}
 }
 
-// TestFastPathAdaptiveLinearBitExact runs the adaptive stepper on a linear
-// ladder both ways: the bypass must reproduce the legacy run bit-exactly,
-// step-size decisions included, even though the adaptive dt churn overflows
-// the bounded factorization cache.
+// TestFastPathAdaptiveLinearBitExact runs a linear ladder through the fixed
+// grid's adaptive recovery sub-steps both ways. At grid step 10 the first
+// nine Newton solves fail: one TR→BE fallback and eight halvings, then the
+// re-expansion back to the grid step, visit 16 or more (dt, method)
+// configurations and overflow the bounded factorization cache. The bypass
+// must still reproduce the legacy run bit-exactly.
 func TestFastPathAdaptiveLinearBitExact(t *testing.T) {
-	cFast, pFast := randLadder(t, 17, false)
-	cSlow, pSlow := randLadder(t, 17, false)
-	aOpts := AdaptiveOpts{TStop: 1e-9, ITol: 1e-12}
-	fast, err := cFast.TransientAdaptive(aOpts, pFast...)
-	if err != nil {
-		t.Fatalf("fast: %v", err)
+	run := func(noFastPath bool) (*Result, *diag.Report) {
+		c, probes := randLadder(t, 17, false)
+		fails := 0
+		inj := &diag.Injector{Fault: func(s diag.Site) error {
+			if strings.HasPrefix(s.Op, "spice.newton/tran-") && s.Step == 10 && fails < 9 {
+				fails++
+				return fmt.Errorf("injected stall %d", fails)
+			}
+			return nil
+		}}
+		rep := &diag.Report{}
+		res, err := c.Transient(TranOpts{
+			TStop: 1e-9, DT: 5e-12, ITol: 1e-12, NoReduction: true,
+			NoFastPath: noFastPath, Injector: inj, Report: rep,
+		}, probes...)
+		if err != nil {
+			t.Fatalf("NoFastPath=%v: %v\n%s", noFastPath, err, rep)
+		}
+		return res, rep
 	}
-	aOpts.NoFastPath = true
-	slow, err := cSlow.TransientAdaptive(aOpts, pSlow...)
-	if err != nil {
-		t.Fatalf("legacy: %v", err)
+	fast, rep := run(false)
+	slow, _ := run(true)
+	rungs := map[string]int{}
+	for _, a := range rep.Attempts {
+		if a.Ladder == "tran-step" {
+			rungs[a.Rung]++
+		}
+	}
+	if rungs["be-fallback"] != 1 || rungs["halve"] != 8 || len(rungs) != 2 {
+		t.Errorf("tran-step rungs = %v, want 1 be-fallback and 8 halve\n%s", rungs, rep)
 	}
 	if d := maxSignalDiff(t, fast, slow); d != 0 {
-		t.Errorf("adaptive bypass deviates from legacy by %g (want bit-exact)", d)
+		t.Errorf("bypass through the recovery ladder deviates from legacy by %g (want bit-exact)", d)
 	}
 }
 

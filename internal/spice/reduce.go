@@ -37,7 +37,7 @@ package spice
 //
 // TranOpts.NoReduction disables the whole path; runs with NoFastPath set
 // skip it too, since that flag promises the legacy solver's bit-exact
-// arithmetic. Adaptive runs always use the full solver.
+// arithmetic.
 
 import (
 	"errors"

@@ -30,7 +30,7 @@ func dividerCircuit(t *testing.T) *Circuit {
 	return c
 }
 
-// rcCircuit builds the 1 Ω / 1 F step-response circuit whose analytic
+// resRCCircuit builds the 1 Ω / 1 F step-response circuit whose analytic
 // solution is v(t) = 1 − e^{−t}.
 func resRCCircuit(t *testing.T) *Circuit {
 	t.Helper()

@@ -243,19 +243,6 @@ func TestPanicInDeviceEvalSurfacesTyped(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTransientCancellation(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	c := rlcStepCircuit(t)
-	opts := AdaptiveOpts{TStop: 4e-9, Limits: runctl.Limits{MaxIters: 60}}
-	res, err := c.TransientAdaptiveCtx(context.Background(), opts, c.ProbeNode("out"))
-	if !errors.Is(err, diag.ErrBudget) {
-		t.Fatalf("want ErrBudget, got %v", err)
-	}
-	if res == nil || !res.Partial {
-		t.Fatal("adaptive budget stop lost the partial result")
-	}
-}
-
 func TestACAnalysisCancellationKeepsPrefix(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	c := New()

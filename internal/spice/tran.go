@@ -760,8 +760,8 @@ func growCapF(b []float64, n int) []float64 {
 
 // stepper advances a transient's solver state by one step. fullStep solves
 // the whole MNA system; reducedStep (reduce.go) steps the reduced-order
-// model. march, the fixed-grid loop, drives either; the adaptive loop drives
-// fullStep.
+// model. march, the one transient loop, drives either on the fixed output
+// grid.
 type stepper interface {
 	// advance moves the state from t to t+dt on output grid step `step`,
 	// trapezoidal when trap holds and backward Euler otherwise. On error the
