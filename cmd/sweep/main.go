@@ -9,8 +9,12 @@
 //
 // Usage:
 //
-//	sweep -var l -from 0.1 -to 4.9 -steps 13 [-tech 100nm] [-l 2] [-h 11.1] [-k 528] [-f 0.5]
+//	sweep -var l [-from 0.1] [-to 4.9] [-steps 13] [-tech 100nm] [-l 2] [-h 11.1] [-k 528] [-f 0.5]
 //	      [-workers 4] [-timeout 30s] [-warm] [-o out.csv]
+//
+// Without -from/-to each variable sweeps its own range: l over 0.1–4.9
+// nH/mm, f over 0.1–0.9, and h and k from half to twice their fixed -h and
+// -k values. -from or -to overrides its end.
 //
 // Points are evaluated over a bounded worker pool and rows stream to the
 // output in sweep order as soon as each point (and all before it) is done,
@@ -37,15 +41,37 @@ import (
 	"rlcint/internal/runctl"
 )
 
+// Defaults of the fixed segment length (mm) and repeater size, which also
+// center the h and k sweeps' default ranges.
+const (
+	defaultHMM float64 = 11.1
+	defaultK   float64 = 528
+)
+
+// defaultRange is the range variable sweeps when -from and -to are not set:
+// l over 0.1–4.9 nH/mm, f over 0.1–0.9, and h and k from half to twice their
+// fixed values hMM and k.
+func defaultRange(variable string, hMM, k float64) (from, to float64) {
+	switch variable {
+	case "h":
+		return hMM / 2, 2 * hMM
+	case "k":
+		return k / 2, 2 * k
+	case "f":
+		return 0.1, 0.9
+	}
+	return 0.1, 4.9
+}
+
 func main() {
 	variable := flag.String("var", "l", "swept variable: l, h, k, f")
-	from := flag.Float64("from", 0.1, "sweep start")
-	to := flag.Float64("to", 4.9, "sweep end")
+	from := flag.Float64("from", 0, "sweep start (default: l 0.1, f 0.1, h and k half the fixed value)")
+	to := flag.Float64("to", 0, "sweep end (default: l 4.9, f 0.9, h and k twice the fixed value)")
 	steps := flag.Int("steps", 13, "number of points")
 	techName := flag.String("tech", "100nm", "technology node")
 	lNH := flag.Float64("l", 2, "fixed line inductance, nH/mm")
-	hMM := flag.Float64("h", 11.1, "fixed segment length, mm")
-	k := flag.Float64("k", 528, "fixed repeater size")
+	hMM := flag.Float64("h", defaultHMM, "fixed segment length, mm")
+	k := flag.Float64("k", defaultK, "fixed repeater size")
 	f := flag.Float64("f", 0.5, "fixed delay threshold")
 	workers := flag.Int("workers", 1, "parallel point evaluations")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none)")
@@ -60,7 +86,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	pts := num.Linspace(*from, *to, *steps)
+	lo, hi := defaultRange(*variable, *hMM, *k)
+	flag.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "from":
+			lo = *from
+		case "to":
+			hi = *to
+		}
+	})
+	pts := num.Linspace(lo, hi, *steps)
 
 	// The l sweep (one optimization per point) runs through the batched
 	// sweep engine — cold by default (bit-identical to the streaming serial

@@ -4,9 +4,11 @@
 // (Section 2.2). The primary path solves the stationarity system
 // (g1, g2) = 0 of Eqs. (7)–(8) with Newton's method, using the analytic
 // derivatives of the two-pole coefficients and poles with respect to h and
-// k; a Nelder–Mead fallback on (log h, log k) handles the near-critically-
-// damped region where the pole derivatives are singular, and the two paths
-// cross-check each other.
+// k. A cold solve starts that Newton at the Ismail–Friedman closed form and
+// certifies its answer; only when Newton fails or its answer fails the
+// certificate does a Nelder–Mead minimization on (log h, log k) run, which
+// handles the near-critically-damped region where the pole derivatives are
+// singular and the stationary points that are not the minimum.
 package core
 
 import (
@@ -16,6 +18,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"rlcint/internal/baseline"
 	"rlcint/internal/diag"
 	"rlcint/internal/num"
 	"rlcint/internal/pade"
@@ -31,8 +34,9 @@ type Problem struct {
 	F      float64    // delay threshold fraction; 0 means 0.5
 	// Injector injects optimizer faults for testing (nil in production).
 	Injector *diag.Injector
-	// Report, when non-nil, records which optimizer ladder rungs ran
-	// (Newton cold start, perturbed multi-starts, Nelder–Mead, polish).
+	// Report, when non-nil, records which optimizer ladder rungs ran (warm
+	// start, Newton cold start, a rejecting certificate, Nelder–Mead,
+	// polish).
 	Report *diag.Report
 	// Limits bound the optimization; MaxIters counts inner optimizer
 	// iterations (Newton and simplex) across all ladder rungs. Enforced by
@@ -219,10 +223,14 @@ func (p Problem) stationarity(h, k float64) (g1, g2 float64, err error) {
 }
 
 // Optimize minimizes τ/h over (h, k). It runs the paper's Newton solve on
-// (g1, g2) from the RC optimum, verifies the result, and falls back to (or
-// cross-checks against) direct Nelder–Mead minimization; the better feasible
-// point wins. Scale invariance is handled by normalizing h and k to their RC
-// optima inside the solver.
+// (g1, g2) from the Ismail–Friedman closed form and certifies the result:
+// τ/h is no worse there than at the RC optimum and at the closed form, and
+// curves upward in every direction of (log h, log k). A certified result is
+// the answer. Otherwise a direct Nelder–Mead minimization and a Newton
+// polish from its minimum run as a fallback, and the best feasible
+// candidate wins (an earlier one unless a later one is measurably better).
+// Scale invariance is handled by normalizing h and k to their RC optima
+// inside the solver.
 func Optimize(p Problem) (Optimum, error) {
 	return OptimizeCtx(context.Background(), p)
 }
@@ -246,23 +254,28 @@ func OptimizeWS(ctx context.Context, p Problem, ws *Workspace) (Optimum, error) 
 // Package-level read-only ladder constants, hoisted so each solve does not
 // re-allocate them.
 var (
-	lowerHK        = []float64{1e-3, 1e-3}
-	coldStart      = [2]float64{1, 1}
-	nmStart        = [2]float64{0, 0}
-	newtonRestarts = [4][2]float64{{1.25, 0.8}, {0.8, 1.25}, {1.6, 1.6}, {0.6, 0.6}}
+	lowerHK = []float64{1e-3, 1e-3}
+	nmStart = [2]float64{0, 0}
 )
 
 // OptimizeSeeded is OptimizeCtx with warm-start continuation: when seed is
 // valid (taken from a neighboring problem's converged Optimum via AsSeed), a
 // leading ladder rung runs the stationarity Newton from the seeded point —
 // with the Padé threshold solves seeded from the neighbor's delay — and, on
-// clean convergence, skips the cold start, the multi-starts, and the
-// Nelder–Mead cross-check entirely. If the warm rung diverges or is
+// clean convergence, skips the cold start, its certificate, and the
+// Nelder–Mead fallback entirely. If the warm rung diverges or is
 // infeasible, or converges to a per-unit delay outside the ±50% continuation
 // band around the seed's, the warm candidate and the warm delay hints are
 // discarded and the full cold ladder runs unchanged, so the recovery
 // semantics (and diag.Report rungs) of OptimizeCtx are preserved; the warm
 // rung records as "warm-start" with fault-injection site Step = -2.
+//
+// The cold ladder has three steps. The stationarity Newton starts at the
+// Ismail–Friedman closed form ("cold-start", Step = 0). A certificate
+// (certify) then decides whether its point is the answer. Only when that
+// Newton fails or the certificate rejects its point do a Nelder–Mead
+// minimization from the RC optimum ("direct") and a Newton polish from the
+// Nelder–Mead minimum ("polish", Step = -1) run.
 //
 // Agreement contract: warm and cold land on the same stationary point to
 // within the stationarity tolerance, so the optimized per-unit delay (the
@@ -348,7 +361,7 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 
 	// Rung 0: warm start from the neighboring solution. On clean convergence
 	// to a per-unit delay plausibly continuous with the neighbor's, the
-	// remaining rungs (including the Nelder–Mead cross-check) are skipped —
+	// remaining rungs (including the Nelder–Mead fallback) are skipped —
 	// this is the continuation fast path of batched sweeps. Any doubt
 	// (divergence, line-search stall, or a per-unit delay jumping outside
 	// the continuation band, which would indicate convergence to a
@@ -381,32 +394,34 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 		nerr = werr
 	}
 
+	certified := false
 	if !warmed {
-		// Rung 1: Newton cold start from the RC optimum.
+		// Rung 1: the paper's Newton from the Ismail–Friedman closed form,
+		// which already accounts for the line's inductance.
+		ifo, err := baseline.IFOptimal(p.Device, p.Line)
+		if err != nil {
+			return Optimum{}, err
+		}
+		var x0 [2]float64
+		x0[0], x0[1] = rc.Normalize(ifo.H, ifo.K)
 		var coldOK bool
-		coldOK, nerr = tryNewton(0, "cold-start", coldStart[:], coldOpts)
+		coldOK, nerr = tryNewton(0, "cold-start", x0[:], coldOpts)
 		if runctl.IsStop(nerr) {
 			return Optimum{}, nerr
 		}
-
-		// Rung 2: perturbed multi-starts — retry the paper's Newton from points
-		// scattered around the RC optimum before conceding to the derivative-
-		// free fallback. Only runs when the cold start yielded no candidate.
-		if !coldOK {
-			for i, x0 := range newtonRestarts {
-				ok, err := tryNewton(i+1, fmt.Sprintf("multi-start(%g,%g)", x0[0], x0[1]), x0[:], coldOpts)
-				if runctl.IsStop(err) {
-					return Optimum{}, err
-				}
-				if ok {
-					nerr = err
-					break
-				}
+		if coldOK && nerr == nil {
+			why := p.certify(cands[len(cands)-1], rc, ifo)
+			certified = why == ""
+			if !certified {
+				rep.Record("opt-newton", "certificate", diag.OutcomeFailed, why, nil)
 			}
 		}
+	}
 
-		// Rung 3: direct Nelder–Mead minimization on (log h, log k); immune to
-		// the critical-damping singularity and to saddle points of (g1, g2).
+	if !warmed && !certified {
+		// Rung 2, only when the cold start failed or the certificate rejected
+		// its point: direct Nelder–Mead minimization on (log h, log k); immune
+		// to the critical-damping singularity and to saddle points of (g1, g2).
 		obj := func(x []float64) float64 {
 			return p.PerUnitDelay(rc.H*math.Exp(x[0]), rc.K*math.Exp(x[1]))
 		}
@@ -483,6 +498,28 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 		Tau: d.Tau, PerUnit: d.Tau / best.h,
 		Model: m, Method: best.method, Iterations: best.iters,
 	}, nil
+}
+
+// certify returns why the cold rung's candidate c cannot stand without the
+// Nelder–Mead fallback, or "" when it can. Newton converges to any
+// stationary point of (g1, g2), so convergence alone certifies nothing: c
+// must be no worse than two points already known — the RC optimum and the
+// closed-form start — and τ/h must curve upward around it in every
+// direction of (log h, log k). At f = 0.1 the cold Newton can converge
+// cleanly to stationary points whose τ/h is 2× to 107× the minimum's; the
+// comparison rejects them.
+func (p Problem) certify(c cand, rc repeater.RCOptimum, start baseline.IFOptimum) string {
+	if c.pu > p.PerUnitDelay(rc.H, rc.K) {
+		return "τ/h above the RC optimum's"
+	}
+	if c.pu > p.PerUnitDelay(start.H, start.K) {
+		return "τ/h above the closed-form start's"
+	}
+	logPU := func(a, b float64) float64 { return p.PerUnitDelay(c.h*math.Exp(a), c.k*math.Exp(b)) }
+	if !num.HessianPosDef2(logPU, 0, 0, 1e-3) {
+		return "τ/h Hessian not positive definite"
+	}
+	return ""
 }
 
 // OptimizeRC returns the classical Elmore optimum for the problem's line

@@ -22,9 +22,12 @@ func testProblem() Problem {
 	}
 }
 
-func TestOptimizeMultiStartRescuesColdStart(t *testing.T) {
+func TestOptimizeNelderMeadRescuesColdStart(t *testing.T) {
 	// Faulting only the cold start (start index 0) must push the optimizer to
-	// a perturbed multi-start, still on the Newton path.
+	// the Nelder–Mead fallback and its Newton polish, and land on the
+	// unfaulted optimum. The polish's τ/h agrees with the direct minimum's
+	// to far better than the 1e-9 the selection asks of a later candidate,
+	// so the direct minimum answers.
 	want, err := Optimize(testProblem())
 	if err != nil {
 		t.Fatal(err)
@@ -42,31 +45,30 @@ func TestOptimizeMultiStartRescuesColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize with cold start faulted: %v\n%s", err, rep)
 	}
-	if opt.Method != MethodNewton {
-		t.Errorf("Method = %s, want %s (multi-start rescue)", opt.Method, MethodNewton)
+	if opt.Method != MethodNelderMead {
+		t.Errorf("Method = %s, want %s (fallback rescue)", opt.Method, MethodNelderMead)
 	}
 	if math.Abs(opt.H-want.H) > 1e-5*want.H || math.Abs(opt.K-want.K) > 1e-5*want.K {
 		t.Errorf("optimum (%g, %g) deviates from unfaulted (%g, %g)", opt.H, opt.K, want.H, want.K)
 	}
-	var coldFailed, multiOK bool
+	var coldFailed, nmOK, polishOK bool
 	for _, a := range rep.Attempts {
-		if a.Ladder != "opt-newton" {
-			continue
-		}
-		if a.Rung == "cold-start" && a.Outcome == diag.OutcomeFailed {
-			coldFailed = true
-		}
-		if len(a.Rung) >= 11 && a.Rung[:11] == "multi-start" && a.Outcome == diag.OutcomeOK {
-			multiOK = true
+		switch {
+		case a.Ladder == "opt-newton" && a.Rung == "cold-start":
+			coldFailed = a.Outcome == diag.OutcomeFailed
+		case a.Ladder == "opt-nelder-mead" && a.Rung == "direct":
+			nmOK = a.Outcome == diag.OutcomeOK
+		case a.Ladder == "opt-newton" && a.Rung == "polish":
+			polishOK = a.Outcome == diag.OutcomeOK
 		}
 	}
-	if !coldFailed || !multiOK {
-		t.Errorf("report missing cold-start failure or multi-start success:\n%s", rep)
+	if !coldFailed || !nmOK || !polishOK {
+		t.Errorf("report missing cold-start failure, Nelder–Mead success or polish success:\n%s", rep)
 	}
 }
 
 func TestOptimizeNewtonStallReachesNelderMead(t *testing.T) {
-	// Faulting every stationarity evaluation (all Newton starts and the
+	// Faulting every stationarity evaluation (the cold start and the
 	// polish) must still produce an optimum via the Nelder–Mead rung.
 	p := testProblem()
 	p.Injector = &diag.Injector{Fault: func(s diag.Site) error {
@@ -96,8 +98,14 @@ func TestOptimizeNewtonStallReachesNelderMead(t *testing.T) {
 	if last, ok := rep.Last("opt-nelder-mead"); !ok || last.Outcome != diag.OutcomeOK {
 		t.Errorf("nelder-mead rung not recorded as OK:\n%s", rep)
 	}
-	if n := rep.Tried("opt-newton"); n < 5 {
-		t.Errorf("only %d opt-newton attempts recorded, want cold start + 4 multi-starts\n%s", n, rep)
+	failed := map[string]bool{}
+	for _, a := range rep.Attempts {
+		if a.Ladder == "opt-newton" && a.Outcome == diag.OutcomeFailed {
+			failed[a.Rung] = true
+		}
+	}
+	if !failed["cold-start"] || !failed["polish"] {
+		t.Errorf("cold-start and polish not both recorded failed:\n%s", rep)
 	}
 }
 

@@ -110,3 +110,28 @@ func TestDiffOracles(t *testing.T) {
 		t.Errorf("CentralDiff2(exp,0) = %v", d)
 	}
 }
+
+func TestHessianPosDef2(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		f    func(x, y float64) float64
+		want bool
+	}{
+		{"minimum", func(x, y float64) float64 { return math.Exp(x) - x + 2*y*y + x*y }, true},
+		{"saddle", func(x, y float64) float64 { return x*x - y*y }, false},
+		{"maximum", func(x, y float64) float64 { return -x*x - y*y }, false},
+		// Both diagonal curvatures positive, but the cross term makes the
+		// Hessian indefinite (det = 4 − 9 < 0).
+		{"coupled saddle", func(x, y float64) float64 { return x*x + y*y + 3*x*y }, false},
+		{"infeasible probe", func(x, y float64) float64 {
+			if x > 0 {
+				return math.Inf(1)
+			}
+			return x*x + y*y
+		}, false},
+	} {
+		if got := HessianPosDef2(c.f, 0, 0, 1e-3); got != c.want {
+			t.Errorf("%s: HessianPosDef2 = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

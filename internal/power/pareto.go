@@ -149,40 +149,26 @@ func (r *frontRef) objective(lam float64, x []float64) float64 {
 type frontWS struct {
 	nm     num.NelderMeadWS
 	newton num.NewtonNDWS
-	xs     [12]float64 // gradient probe scratch
+	xs     [6]float64 // probe and start-point scratch
 	seed   [2]float64
 	has    bool
 }
 
-// solveWeighted minimizes the λ-scalarized objective: a Nelder–Mead descent
-// from the seed followed by a damped Newton polish on the central-difference
-// gradient, which tightens the stationary point well past the simplex's
-// ~√Tol parameter resolution. Deterministic for fixed (λ, seed, warm).
+// solveWeighted minimizes the λ-scalarized objective. It first runs a
+// damped Newton on the objective's central-difference gradient from the
+// seed, and keeps its point when Newton converges, the objective there is
+// not above the seed's, and the finite-difference Hessian is positive
+// definite (a local minimum, not a saddle). Otherwise it falls back to a
+// Nelder–Mead descent from the seed followed by a Newton polish, which
+// tightens the stationary point well past the simplex's ~√Tol parameter
+// resolution. Deterministic for fixed (λ, seed, warm).
 func (r *frontRef) solveWeighted(ctl *runctl.Controller, lam float64, seed [2]float64, warm bool, ws *frontWS) (FrontPoint, error) {
 	obj := func(x []float64) float64 { return r.objective(lam, x) }
-	initScale := 0.2
-	if warm {
-		initScale = 0.04
-	}
-	x0 := ws.xs[10:12]
-	x0[0], x0[1] = seed[0], seed[1]
-	xnm, fnm, err := num.NelderMead(obj, x0, num.NelderMeadOptions{
-		Tol: 1e-13, MaxIter: 2500, InitScale: initScale, MaxRestart: 3,
-		Ctl: ctl, WS: &ws.nm,
-	})
-	if err != nil {
-		if runctl.IsStop(err) {
-			return FrontPoint{}, err
-		}
-		return FrontPoint{}, fmt.Errorf("power: front point λ=%g: %w", lam, err)
-	}
-	best := [2]float64{xnm[0], xnm[1]}
-
-	// Polish: Newton on the central-difference gradient of the scalarized
-	// objective. The FD step 1e-4 (log coordinates) balances the delay
-	// solver's evaluation noise against truncation; a line-search stall on
-	// that noise floor still leaves the final iterate as a candidate — the
-	// objective comparison decides.
+	// The gradient the Newton solves run on. The FD step 1e-4 (log
+	// coordinates) balances the delay solver's evaluation noise against
+	// truncation; a polish whose line search stalls on that noise floor
+	// still leaves its final iterate as a candidate — the objective
+	// comparison decides.
 	grad := func(x, out []float64) error {
 		const d = 1e-4
 		xp := ws.xs[0:2]
@@ -199,17 +185,54 @@ func (r *frontRef) solveWeighted(ctl *runctl.Controller, lam float64, seed [2]fl
 		}
 		return nil
 	}
-	pres, perr := num.NewtonND(grad, best[:], num.NewtonNDOptions{
-		Tol: 1e-8, MaxIter: 30, Damping: true, Ctl: ctl, WS: &ws.newton,
-	})
-	if runctl.IsStop(perr) {
-		return FrontPoint{}, perr
-	}
-	if len(pres.X) == 2 {
+	at := func(a, b float64) float64 {
 		xp := ws.xs[2:4]
-		xp[0], xp[1] = pres.X[0], pres.X[1]
-		if fp := obj(xp); fp <= fnm+1e-11*(1+math.Abs(fnm)) {
-			best = [2]float64{xp[0], xp[1]}
+		xp[0], xp[1] = a, b
+		return obj(xp)
+	}
+	x0 := ws.xs[4:6]
+	x0[0], x0[1] = seed[0], seed[1]
+
+	// Newton from the seed, converged past the polish's tolerance so a cold
+	// and a warm solve of one point agree as closely as the fallback's do.
+	var best [2]float64
+	nres, nerr := num.NewtonND(grad, x0, num.NewtonNDOptions{
+		Tol: 1e-11, MaxIter: 30, Damping: true, Ctl: ctl, WS: &ws.newton,
+	})
+	if runctl.IsStop(nerr) {
+		return FrontPoint{}, nerr
+	}
+	certified := false
+	if nerr == nil && len(nres.X) == 2 {
+		best = [2]float64{nres.X[0], nres.X[1]}
+		certified = at(best[0], best[1]) <= at(seed[0], seed[1]) &&
+			num.HessianPosDef2(at, best[0], best[1], 1e-3)
+	}
+
+	if !certified {
+		initScale := 0.2
+		if warm {
+			initScale = 0.04
+		}
+		xnm, fnm, err := num.NelderMead(obj, x0, num.NelderMeadOptions{
+			Tol: 1e-13, MaxIter: 2500, InitScale: initScale, MaxRestart: 3,
+			Ctl: ctl, WS: &ws.nm,
+		})
+		if err != nil {
+			if runctl.IsStop(err) {
+				return FrontPoint{}, err
+			}
+			return FrontPoint{}, fmt.Errorf("power: front point λ=%g: %w", lam, err)
+		}
+		best = [2]float64{xnm[0], xnm[1]}
+		pres, perr := num.NewtonND(grad, best[:], num.NewtonNDOptions{
+			Tol: 1e-8, MaxIter: 30, Damping: true, Ctl: ctl, WS: &ws.newton,
+		})
+		if runctl.IsStop(perr) {
+			return FrontPoint{}, perr
+		}
+		if len(pres.X) == 2 && at(pres.X[0], pres.X[1]) <= fnm+1e-11*(1+math.Abs(fnm)) {
+			best = [2]float64{pres.X[0], pres.X[1]}
 		}
 	}
 

@@ -64,8 +64,8 @@ type RCOptimum struct {
 
 // Normalize maps a design point (h, k) into the RC optimum's coordinate
 // frame (h/h_optRC, k/k_optRC) — the dimensionless space the stationarity
-// Newton, its warm-start continuation seeds, and the batched sweep engine
-// all work in (cold start = (1, 1)).
+// Newton, its cold start (the normalized Ismail–Friedman closed form), its
+// warm-start continuation seeds, and the batched sweep engine all work in.
 func (o RCOptimum) Normalize(h, k float64) (x, y float64) {
 	return h / o.H, k / o.K
 }

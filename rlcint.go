@@ -198,8 +198,9 @@ func OptimizeCtx(ctx context.Context, t Technology, l, f float64, lim RunLimits)
 }
 
 // OptimizeWithReport is Optimize with a recovery-ladder report collector:
-// rep records which optimizer rungs ran (Newton cold start, perturbed
-// multi-starts, Nelder–Mead fallback, polish) and how each fared.
+// rep records which optimizer rungs ran (Newton cold start from the
+// closed form, a certificate that rejected its point, Nelder–Mead
+// fallback, polish) and how each fared.
 func OptimizeWithReport(t Technology, l, f float64, rep *DiagReport) (Optimum, error) {
 	return core.Optimize(core.Problem{Device: DeviceOf(t), Line: LineOf(t, l), F: f, Report: rep})
 }
