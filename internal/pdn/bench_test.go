@@ -27,7 +27,7 @@ func benchMesh(b *testing.B, edge int) *Mesh {
 }
 
 // benchFactor measures a cold engine Factorize at the given scale: AMD
-// ordering + numeric LU below the direct threshold, IC(0) preconditioner
+// ordering + numeric LU below the direct threshold, AMG hierarchy
 // construction on the CG path above it. Custom metrics record the factor
 // shape so BENCH snapshots carry the fill story, not just the time.
 func benchFactor(b *testing.B, edge int) {

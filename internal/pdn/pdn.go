@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"rlcint/internal/diag"
+	"rlcint/internal/runctl"
 	"rlcint/internal/sparse"
 	"rlcint/internal/tech"
 )
@@ -60,6 +61,139 @@ type Spec struct {
 
 	// VDD overrides the technology node's supply voltage.
 	VDD float64 `json:"vdd,omitempty"` // V
+}
+
+// Mesh is a built PDN ready for analysis. Building compiles the DC
+// conductance system once; the AC sweep builds its own (larger) systems in
+// per-worker scratch.
+type Mesh struct {
+	Spec Spec
+	N    int // NX*NY unknowns
+
+	// Derived electrical values.
+	SegLen float64 // segment length, m
+	RSeg   float64 // per-segment resistance, Ω
+	LSeg   float64 // per-segment inductance, H
+
+	bumps []int // node indices of C4 bump sites
+
+	// DC IR-drop system G·v = i.
+	g   *sparse.CSC
+	bDC []float64
+}
+
+// node maps grid coordinates to an unknown index.
+func (m *Mesh) node(x, y int) int { return y*m.Spec.NX + x }
+
+// Bumps returns the node indices of the C4 bump sites.
+func (m *Mesh) Bumps() []int { return m.bumps }
+
+// buildDC stamps the DC conductance system: segment conductances between
+// grid neighbors and bump conductances to the supply. The result is
+// symmetric positive definite, so the engine's auto policy routes large
+// meshes to AMG-preconditioned CG.
+func (m *Mesh) buildDC() {
+	s := m.Spec
+	tr := sparse.NewTriplet(m.N)
+	gSeg := 1 / m.RSeg
+	for y := 0; y < s.NY; y++ {
+		for x := 0; x < s.NX; x++ {
+			i := m.node(x, y)
+			if x+1 < s.NX {
+				j := m.node(x+1, y)
+				tr.Add(i, i, gSeg)
+				tr.Add(j, j, gSeg)
+				tr.Add(i, j, -gSeg)
+				tr.Add(j, i, -gSeg)
+			}
+			if y+1 < s.NY {
+				j := m.node(x, y+1)
+				tr.Add(i, i, gSeg)
+				tr.Add(j, j, gSeg)
+				tr.Add(i, j, -gSeg)
+				tr.Add(j, i, -gSeg)
+			}
+		}
+	}
+	gBump := 1 / s.RBump
+	for _, i := range m.bumps {
+		tr.Add(i, i, gBump)
+	}
+	m.g = tr.Compile()
+
+	// RHS: bump sites source VDD through their conductance; every node
+	// sinks its load current.
+	m.bDC = make([]float64, m.N)
+	for _, i := range m.bumps {
+		m.bDC[i] += s.VDD * gBump
+	}
+	for i := range m.bDC {
+		m.bDC[i] -= s.ILoad
+	}
+	m.bDC[m.node(s.HotX, s.HotY)] -= s.IHot
+}
+
+// IRResult reports a DC IR-drop analysis.
+type IRResult struct {
+	V []float64 `json:"-"` // node voltages (omitted from JSON: O(N))
+
+	VDD       float64 `json:"vdd"`        // supply, V
+	VMin      float64 `json:"v_min"`      // worst node voltage, V
+	VMax      float64 `json:"v_max"`      // best node voltage, V
+	WorstDrop float64 `json:"worst_drop"` // VDD - VMin, V
+	AvgDrop   float64 `json:"avg_drop"`   // mean IR drop, V
+	WorstX    int     `json:"worst_x"`    // grid location of the worst drop
+	WorstY    int     `json:"worst_y"`
+
+	Solver sparse.EngineStats `json:"solver"`
+}
+
+// SolveIR runs the DC IR-drop analysis through the sparse engine (auto
+// policy: direct LU for small grids, AMG+CG at scale).
+func (m *Mesh) SolveIR() (*IRResult, error) {
+	return m.solveIR(sparse.EngineOpts{})
+}
+
+// SolveIRWith is SolveIR under run control: ctl is ticked once per CG
+// iteration, and a stop (cancellation, deadline, budget) returns its typed
+// error. A nil ctl never stops.
+func (m *Mesh) SolveIRWith(ctl *runctl.Controller) (*IRResult, error) {
+	return m.solveIR(sparse.EngineOpts{Control: ctl})
+}
+
+// solveIR is SolveIR with caller-controlled engine options (tests force
+// policies; SolveIRWith sets the run controller). A controller that has
+// already stopped ends the analysis before the engine's setup runs.
+func (m *Mesh) solveIR(opts sparse.EngineOpts) (*IRResult, error) {
+	if err := opts.Control.Check("pdn.solve_ir"); err != nil {
+		return nil, err
+	}
+	eng := sparse.NewEngine(m.N, opts)
+	if err := eng.Factorize(m.g); err != nil {
+		return nil, fmt.Errorf("pdn: IR factorize: %w", err)
+	}
+	v := make([]float64, m.N)
+	if err := eng.SolveInto(v, m.bDC); err != nil {
+		return nil, fmt.Errorf("pdn: IR solve: %w", err)
+	}
+	res := &IRResult{V: v, VDD: m.Spec.VDD, VMin: math.Inf(1), VMax: math.Inf(-1)}
+	sum := 0.0
+	worst := -1
+	for i, vi := range v {
+		if vi < res.VMin {
+			res.VMin, worst = vi, i
+		}
+		if vi > res.VMax {
+			res.VMax = vi
+		}
+		sum += m.Spec.VDD - vi
+	}
+	res.WorstDrop = m.Spec.VDD - res.VMin
+	res.AvgDrop = sum / float64(m.N)
+	res.WorstX = worst % m.Spec.NX
+	res.WorstY = worst / m.Spec.NX
+	res.Solver = eng.Stats()
+	return res, nil
 }
 
 // withDefaults validates s and fills defaulted fields.
@@ -129,32 +263,6 @@ func (s Spec) withDefaults() (Spec, error) {
 // build identical meshes canonicalize identically.
 func (s Spec) Canonical() (Spec, error) { return s.withDefaults() }
 
-// Mesh is a built PDN ready for analysis. Building compiles the DC
-// conductance system once; the AC sweep builds its own (larger) systems in
-// per-worker scratch.
-type Mesh struct {
-	Spec Spec
-	N    int // NX*NY unknowns
-
-	// Derived electrical values.
-	SegLen float64 // segment length, m
-	RSeg   float64 // per-segment resistance, Ω
-	LSeg   float64 // per-segment inductance, H
-
-	bumps []int // node indices of C4 bump sites
-
-	// DC IR-drop system G·v = i (frozen pattern for refactorization).
-	gTr *sparse.Triplet
-	g   *sparse.CSC
-	bDC []float64
-}
-
-// node maps grid coordinates to an unknown index.
-func (m *Mesh) node(x, y int) int { return y*m.Spec.NX + x }
-
-// Bumps returns the node indices of the C4 bump sites.
-func (m *Mesh) Bumps() []int { return m.bumps }
-
 // Build validates s and assembles the mesh and its DC system.
 func Build(s Spec) (*Mesh, error) {
 	s, err := s.withDefaults()
@@ -183,102 +291,4 @@ func Build(s Spec) (*Mesh, error) {
 
 	m.buildDC()
 	return m, nil
-}
-
-// buildDC stamps the DC conductance system: segment conductances between
-// grid neighbors and bump conductances to the supply. The result is
-// symmetric positive definite, so the engine's auto policy routes large
-// meshes to IC(0)-preconditioned CG.
-func (m *Mesh) buildDC() {
-	s := m.Spec
-	tr := sparse.NewTriplet(m.N)
-	gSeg := 1 / m.RSeg
-	for y := 0; y < s.NY; y++ {
-		for x := 0; x < s.NX; x++ {
-			i := m.node(x, y)
-			if x+1 < s.NX {
-				j := m.node(x+1, y)
-				tr.Add(i, i, gSeg)
-				tr.Add(j, j, gSeg)
-				tr.Add(i, j, -gSeg)
-				tr.Add(j, i, -gSeg)
-			}
-			if y+1 < s.NY {
-				j := m.node(x, y+1)
-				tr.Add(i, i, gSeg)
-				tr.Add(j, j, gSeg)
-				tr.Add(i, j, -gSeg)
-				tr.Add(j, i, -gSeg)
-			}
-		}
-	}
-	gBump := 1 / s.RBump
-	for _, i := range m.bumps {
-		tr.Add(i, i, gBump)
-	}
-	m.gTr = tr
-	m.g = tr.Compile()
-
-	// RHS: bump sites source VDD through their conductance; every node
-	// sinks its load current.
-	m.bDC = make([]float64, m.N)
-	for _, i := range m.bumps {
-		m.bDC[i] += s.VDD * gBump
-	}
-	for i := range m.bDC {
-		m.bDC[i] -= s.ILoad
-	}
-	m.bDC[m.node(s.HotX, s.HotY)] -= s.IHot
-}
-
-// IRResult reports a DC IR-drop analysis.
-type IRResult struct {
-	V []float64 `json:"-"` // node voltages (omitted from JSON: O(N))
-
-	VDD       float64 `json:"vdd"`        // supply, V
-	VMin      float64 `json:"v_min"`      // worst node voltage, V
-	VMax      float64 `json:"v_max"`      // best node voltage, V
-	WorstDrop float64 `json:"worst_drop"` // VDD - VMin, V
-	AvgDrop   float64 `json:"avg_drop"`   // mean IR drop, V
-	WorstX    int     `json:"worst_x"`    // grid location of the worst drop
-	WorstY    int     `json:"worst_y"`
-
-	Solver sparse.EngineStats `json:"solver"`
-}
-
-// SolveIR runs the DC IR-drop analysis through the sparse engine (auto
-// policy: direct LU for small grids, IC(0)+CG at scale).
-func (m *Mesh) SolveIR() (*IRResult, error) {
-	return m.solveIR(sparse.EngineOpts{})
-}
-
-// solveIR is SolveIR with caller-controlled engine options (tests force
-// policies; the server tightens budgets).
-func (m *Mesh) solveIR(opts sparse.EngineOpts) (*IRResult, error) {
-	eng := sparse.NewEngine(m.N, opts)
-	if err := eng.Factorize(m.g); err != nil {
-		return nil, fmt.Errorf("pdn: IR factorize: %w", err)
-	}
-	v := make([]float64, m.N)
-	if err := eng.SolveInto(v, m.bDC); err != nil {
-		return nil, fmt.Errorf("pdn: IR solve: %w", err)
-	}
-	res := &IRResult{V: v, VDD: m.Spec.VDD, VMin: math.Inf(1), VMax: math.Inf(-1)}
-	sum := 0.0
-	worst := -1
-	for i, vi := range v {
-		if vi < res.VMin {
-			res.VMin, worst = vi, i
-		}
-		if vi > res.VMax {
-			res.VMax = vi
-		}
-		sum += m.Spec.VDD - vi
-	}
-	res.WorstDrop = m.Spec.VDD - res.VMin
-	res.AvgDrop = sum / float64(m.N)
-	res.WorstX = worst % m.Spec.NX
-	res.WorstY = worst / m.Spec.NX
-	res.Solver = eng.Stats()
-	return res, nil
 }

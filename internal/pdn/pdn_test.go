@@ -204,6 +204,32 @@ func TestIRSolverPolicies(t *testing.T) {
 	}
 }
 
+// TestIRMultigridMatchesDirect checks the CG path at the scale it serves:
+// on a 141×141 mesh the auto policy runs AMG-preconditioned CG, answers
+// within 1e-9 V of the direct LU, and needs no more than 20 iterations.
+func TestIRMultigridMatchesDirect(t *testing.T) {
+	m, err := Build(testSpec(141, 141))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := m.SolveIR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := m.solveIR(sparse.EngineOpts{Policy: sparse.PolicyDirect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := auto.Solver; st.Solver != "cg" || st.Fallbacks != 0 || st.Iterations > 20 {
+		t.Fatalf("auto policy stats %+v, want cg in ≤ 20 iterations with no fallback", st)
+	}
+	for i := range direct.V {
+		if d := math.Abs(direct.V[i] - auto.V[i]); d > 1e-9 {
+			t.Fatalf("CG and direct differ by %g V at node %d", d, i)
+		}
+	}
+}
+
 // TestImpedanceMatchesDense validates the sparse real-equivalent AC solve
 // against an independent dense complex reference on a small mesh.
 func TestImpedanceMatchesDense(t *testing.T) {

@@ -105,15 +105,17 @@ func (q *pdnImpReq) key() string {
 }
 
 // plan serves the DC IR-drop analysis. Large meshes route through the
-// engine's CG path automatically; the solver stats land in the response and
-// the /metrics sparse counters.
+// engine's CG path automatically, with run control wired to the request
+// context and timeout_ms so an abandoned or overdue solve stops at its next
+// CG iteration; the solver stats land in the response and the /metrics
+// sparse counters.
 func (q *pdnIRReq) plan(s *Server) reply {
-	return reply{key: q.key(), timeoutMS: q.TimeoutMS, compute: func(context.Context) (any, error) {
+	return reply{key: q.key(), timeoutMS: q.TimeoutMS, compute: func(ctx context.Context) (any, error) {
 		m, err := pdn.Build(q.Spec)
 		if err != nil {
 			return nil, err
 		}
-		res, err := m.SolveIR()
+		res, err := m.SolveIRWith(runctl.New(ctx, runctl.Limits{Timeout: s.timeoutFor(q.TimeoutMS)}))
 		if err != nil {
 			return nil, err
 		}

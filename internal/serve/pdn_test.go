@@ -42,6 +42,24 @@ func TestPDNIREndpoint(t *testing.T) {
 	}
 }
 
+// TestPDNIRDeadline checks that timeout_ms bounds the DC analysis itself:
+// under a 1 ms budget a 200×200 mesh (the CG path) stops at the run
+// controller's first check past the deadline instead of finishing its
+// solve and answering 200.
+func TestPDNIRDeadline(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/pdn/ir", `{"nx": 200, "ny": 200, "timeout_ms": 1}`)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d (%.200s), want 504", resp.StatusCode, body)
+	}
+	var env struct {
+		Error apiError `json:"error"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Kind != "deadline" {
+		t.Errorf("504 body = %s, want kind deadline", body)
+	}
+}
+
 func TestPDNIRValidation(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	for _, body := range []string{

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rlcint/internal/diag"
+	"rlcint/internal/runctl"
 )
 
 // Policy selects how an Engine solves its linear systems.
@@ -13,12 +14,12 @@ type Policy int
 
 const (
 	// PolicyAuto picks per matrix: direct LU below DirectBelow unknowns,
-	// IC(0)-preconditioned CG for symmetric positive-diagonal structure,
+	// AMG-preconditioned CG for symmetric positive-diagonal structure,
 	// ILU(0)-preconditioned restarted GMRES otherwise.
 	PolicyAuto Policy = iota
 	// PolicyDirect forces the direct sparse LU (with AMD ordering).
 	PolicyDirect
-	// PolicyCG forces IC(0)+CG.
+	// PolicyCG forces AMG+CG.
 	PolicyCG
 	// PolicyGMRES forces ILU(0)+GMRES.
 	PolicyGMRES
@@ -38,6 +39,10 @@ func (p Policy) String() string {
 	}
 }
 
+// gmresRestart is the GMRES restart length: the Krylov basis size kept
+// between restarts.
+const gmresRestart = 30
+
 // EngineOpts configures an Engine. The zero value is usable: auto policy,
 // strict pivoting for the direct fallback, 1e-10 relative tolerance.
 type EngineOpts struct {
@@ -45,7 +50,6 @@ type EngineOpts struct {
 	PivTol      float64 // direct-LU threshold pivoting tolerance (default 1)
 	Tol         float64 // iterative relative residual target (default 1e-10)
 	MaxIter     int     // iterative iteration budget (default 1000)
-	Restart     int     // GMRES restart length (default 30)
 	DirectBelow int     // auto policy: direct LU below this many unknowns (default 2048)
 
 	// Injector guards preconditioner construction under Op "sparse.precond";
@@ -55,6 +59,10 @@ type EngineOpts struct {
 	// Report, when non-nil, records iterative→direct fallbacks on the
 	// "sparse.engine" ladder.
 	Report *diag.Report
+	// Control, when non-nil, is ticked once per CG iteration. A stop
+	// (cancellation, deadline, budget) ends the solve with the controller's
+	// typed error and never falls back to the direct solver.
+	Control *runctl.Controller
 }
 
 func (o EngineOpts) withDefaults() EngineOpts {
@@ -66,9 +74,6 @@ func (o EngineOpts) withDefaults() EngineOpts {
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 1000
-	}
-	if o.Restart <= 0 {
-		o.Restart = 30
 	}
 	if o.DirectBelow <= 0 {
 		o.DirectBelow = 2048
@@ -112,7 +117,7 @@ type Engine struct {
 	lu      *LU // direct solver, created lazily
 	luFresh bool
 
-	ic    *ic0
+	amg   *amg
 	il    *ilu0
 	cg    *cgWork
 	gmres *gmresWork
@@ -176,8 +181,8 @@ func (e *Engine) Factorize(a *CSC) error {
 	e.mode = e.decideMode(a)
 	switch e.mode {
 	case modeCG:
-		if err := e.buildIC(a); err != nil {
-			return e.fallbackToDirect(a, "ic0", err)
+		if err := e.buildAMG(a); err != nil {
+			return e.fallbackToDirect(a, "amg", err)
 		}
 	case modeGMRES:
 		if err := e.buildILU(a); err != nil {
@@ -202,10 +207,10 @@ func (e *Engine) Refactorize(a *CSC) error {
 	case modeCG:
 		e.luFresh = false
 		if err := e.precondFault(); err != nil {
-			return e.fallbackToDirect(a, "ic0", err)
+			return e.fallbackToDirect(a, "amg", err)
 		}
-		if err := e.ic.Refresh(a); err != nil {
-			return e.fallbackToDirect(a, "ic0", err)
+		if err := e.amg.Refresh(a); err != nil {
+			return e.fallbackToDirect(a, "amg", err)
 		}
 	case modeGMRES:
 		e.luFresh = false
@@ -231,52 +236,20 @@ func (e *Engine) Refactorize(a *CSC) error {
 	return nil
 }
 
-// SolveInto solves a·x = b for the last factorized matrix. Iterative-path
-// stagnation falls back to the direct solver transparently (recorded in
-// Stats and the diag report); the returned error is only non-nil when the
-// direct solver itself fails.
-func (e *Engine) SolveInto(x, b []float64) error {
-	switch e.mode {
-	case modeCG:
-		it, res, err := e.cg.solve(e.a, e.ic, x, b, e.opts.Tol, e.opts.MaxIter)
-		e.stats.Iterations, e.stats.Residual = it, res
-		if err == nil {
-			return nil
-		}
-		return e.solveDirectAfter(x, b, "cg", err)
-	case modeGMRES:
-		it, res, err := e.gmres.solve(e.a, e.il, x, b, e.opts.Tol, e.opts.MaxIter)
-		e.stats.Iterations, e.stats.Residual = it, res
-		if err == nil {
-			return nil
-		}
-		return e.solveDirectAfter(x, b, "gmres", err)
-	default:
-		if !e.luFresh {
-			if err := e.factorDirect(e.a); err != nil {
-				return err
-			}
-		}
-		e.stats.Iterations, e.stats.Residual = 0, 0
-		e.lu.SolveInto(x, b)
-		return nil
-	}
-}
-
 // precondFault consults the configured injector at the preconditioner site.
 func (e *Engine) precondFault() error {
 	return e.opts.Injector.At(diag.Site{Op: "sparse.precond", Step: e.n})
 }
 
-func (e *Engine) buildIC(a *CSC) error {
+func (e *Engine) buildAMG(a *CSC) error {
 	if err := e.precondFault(); err != nil {
 		return err
 	}
-	ic, err := newIC0(a)
+	m, err := newAMG(a)
 	if err != nil {
 		return err
 	}
-	e.ic = ic
+	e.amg = m
 	e.ensureCGWork()
 	return nil
 }
@@ -301,8 +274,8 @@ func (e *Engine) ensureCGWork() {
 }
 
 func (e *Engine) ensureGMRESWork() {
-	if e.gmres == nil || e.gmres.m != e.opts.Restart {
-		e.gmres = newGMRESWork(e.n, e.opts.Restart)
+	if e.gmres == nil {
+		e.gmres = newGMRESWork(e.n, gmresRestart)
 	}
 }
 
@@ -348,7 +321,7 @@ func (e *Engine) solveDirectAfter(x, b []float64, rung string, cause error) erro
 const symRelTol = 1e-12
 
 // isSymmetricPosDiag reports whether a is structurally and numerically
-// symmetric with a strictly positive diagonal — the shape CG+IC(0) is safe
+// symmetric with a strictly positive diagonal — the shape AMG+CG is safe
 // to attempt on (a conductance / PDN matrix). Columns must be row-sorted.
 func isSymmetricPosDiag(a *CSC) bool {
 	n := a.N
@@ -396,4 +369,36 @@ func findEntry(a *CSC, row, col int) (float64, bool) {
 		return a.X[lo], true
 	}
 	return 0, false
+}
+
+// SolveInto solves a·x = b for the last factorized matrix. Iterative-path
+// stagnation falls back to the direct solver transparently (recorded in
+// Stats and the diag report); the returned error is non-nil only when the
+// direct solver itself fails or the run controller stops a CG solve.
+func (e *Engine) SolveInto(x, b []float64) error {
+	switch e.mode {
+	case modeCG:
+		it, res, err := e.cg.solve(e.a, e.amg, x, b, e.opts.Tol, e.opts.MaxIter, e.opts.Control)
+		e.stats.Iterations, e.stats.Residual = it, res
+		if err == nil || runctl.IsStop(err) {
+			return err
+		}
+		return e.solveDirectAfter(x, b, "cg", err)
+	case modeGMRES:
+		it, res, err := e.gmres.solve(e.a, e.il, x, b, e.opts.Tol, e.opts.MaxIter)
+		e.stats.Iterations, e.stats.Residual = it, res
+		if err == nil {
+			return nil
+		}
+		return e.solveDirectAfter(x, b, "gmres", err)
+	default:
+		if !e.luFresh {
+			if err := e.factorDirect(e.a); err != nil {
+				return err
+			}
+		}
+		e.stats.Iterations, e.stats.Residual = 0, 0
+		e.lu.SolveInto(x, b)
+		return nil
+	}
 }

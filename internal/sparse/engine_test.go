@@ -1,12 +1,15 @@
 package sparse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"rlcint/internal/diag"
+	"rlcint/internal/runctl"
 )
 
 // meshEngineOpts lowers the auto-policy direct threshold so small test
@@ -152,14 +155,14 @@ func TestEnginePrecondFaultFallsBack(t *testing.T) {
 	}
 }
 
-// TestEngineBreakdownFallsBack drives a numeric IC(0) breakdown (an
-// indefinite symmetric matrix under a forced CG policy) and checks the
+// TestEngineBreakdownFallsBack drives a numeric preconditioner breakdown
+// (an indefinite symmetric matrix under a forced CG policy) and checks the
 // engine silently completes on the direct path.
 func TestEngineBreakdownFallsBack(t *testing.T) {
 	n := 32
 	tr := NewTriplet(n)
 	for i := 0; i < n; i++ {
-		tr.Add(i, i, -2) // negative diagonal: IC(0) must refuse
+		tr.Add(i, i, -2) // negative diagonal: AMG must refuse
 		if i+1 < n {
 			tr.Add(i, i+1, 1)
 			tr.Add(i+1, i, 1)
@@ -322,5 +325,87 @@ func TestPolicyStrings(t *testing.T) {
 	}
 	if s := fmt.Sprint(OrderAuto, OrderNatural, OrderAMD); s != "auto natural amd" {
 		t.Errorf("ordering strings = %q", s)
+	}
+}
+
+// TestAMGIterationsMeshIndependent is the point of the multigrid
+// preconditioner: CG's iteration count must not grow with the mesh, where
+// a zero-fill incomplete factorization needs about √n iterations.
+func TestAMGIterationsMeshIndependent(t *testing.T) {
+	iters := map[int]int{}
+	for _, edge := range []int{32, 64, 128} {
+		a, b := meshSystem(edge, edge)
+		e := NewEngine(a.N, meshEngineOpts())
+		if err := e.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, a.N)
+		if err := e.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.Solver != "cg" || st.Fallbacks != 0 {
+			t.Fatalf("%d² mesh: stats %+v, want cg with no fallback", edge, st)
+		}
+		if st.Iterations > 20 {
+			t.Errorf("%d² mesh: %d CG iterations, want ≤ 20", edge, st.Iterations)
+		}
+		iters[edge] = st.Iterations
+	}
+	if d := iters[128] - iters[32]; d > 3 || d < -3 {
+		t.Errorf("CG iterations 32² → 128²: %d → %d, want within 3", iters[32], iters[128])
+	}
+}
+
+// TestAMGSymmetricPositive checks the property CG relies on: one V-cycle is
+// a symmetric positive-definite operator M, tested on seeded vectors.
+func TestAMGSymmetricPositive(t *testing.T) {
+	a, _ := meshSystem(48, 48)
+	m, err := newAMG(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.levels) < 3 {
+		t.Fatalf("48² mesh built %d levels, want a multilevel hierarchy", len(m.levels))
+	}
+	r := rand.New(rand.NewSource(7))
+	n := a.N
+	u, v := make([]float64, n), make([]float64, n)
+	mu, mv := make([]float64, n), make([]float64, n)
+	for trial := 0; trial < 5; trial++ {
+		for i := 0; i < n; i++ {
+			u[i], v[i] = r.NormFloat64(), r.NormFloat64()
+		}
+		m.Apply(mu, u)
+		m.Apply(mv, v)
+		if d, tol := math.Abs(dot(mu, v)-dot(u, mv)), 1e-12*norm2(mu)*norm2(v); d > tol {
+			t.Errorf("trial %d: |<Mu,v> - <u,Mv>| = %g > %g", trial, d, tol)
+		}
+		if q := dot(mu, u); !(q > 0) {
+			t.Errorf("trial %d: <Mu,u> = %g, want > 0", trial, q)
+		}
+	}
+}
+
+// TestEngineCGStopsOnControl checks run control on the CG path: a stopped
+// controller ends the solve with its typed error, and the engine does not
+// fall back to the direct solver.
+func TestEngineCGStopsOnControl(t *testing.T) {
+	a, b := meshSystem(32, 32)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := meshEngineOpts()
+	opts.Control = runctl.New(ctx, runctl.Limits{})
+	e := NewEngine(a.N, opts)
+	if err := e.Factorize(a); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.N)
+	err := e.SolveInto(x, b)
+	if !runctl.IsStop(err) || !errors.Is(err, diag.ErrCancelled) {
+		t.Fatalf("solve under a cancelled controller: err = %v, want a cancellation stop", err)
+	}
+	if st := e.Stats(); st.Solver != "cg" || st.Fallbacks != 0 {
+		t.Errorf("stats after stop = %+v, want cg with 0 fallbacks", st)
 	}
 }

@@ -3,6 +3,8 @@ package sparse
 import (
 	"fmt"
 	"math"
+
+	"rlcint/internal/runctl"
 )
 
 // ErrIterativeStalled is returned when an iterative solve fails to reach the
@@ -11,10 +13,9 @@ import (
 // treats it as a signal to fall back to the direct solver.
 var ErrIterativeStalled = fmt.Errorf("sparse: iterative solver stalled")
 
-// preconditioner is the contract shared by ic0 and ilu0: refreshable
-// in-place numeric values over a frozen pattern, allocation-free apply.
+// preconditioner is what GMRES applies (ilu0): an allocation-free
+// z ≈ A⁻¹r. CG applies the AMG V-cycle, its only preconditioner, directly.
 type preconditioner interface {
-	Refresh(a *CSC) error
 	Apply(z, r []float64)
 }
 
@@ -52,8 +53,9 @@ func newCGWork(n int) *cgWork {
 // ‖r‖₂ ≤ tol·‖b‖₂ or maxIter iterations have run. It returns the iteration
 // count and final relative residual; a breakdown (the matrix or the
 // preconditioner is not positive definite on the Krylov space) or running
-// out of iterations reports ErrIterativeStalled. Allocation-free.
-func (w *cgWork) solve(a *CSC, m preconditioner, x, b []float64, tol float64, maxIter int) (int, float64, error) {
+// out of iterations reports ErrIterativeStalled. ctl is ticked once per
+// iteration, and a stop returns its error. Allocation-free.
+func (w *cgWork) solve(a *CSC, m *amg, x, b []float64, tol float64, maxIter int, ctl *runctl.Controller) (int, float64, error) {
 	n := a.N
 	for i := 0; i < n; i++ {
 		x[i] = 0
@@ -68,6 +70,9 @@ func (w *cgWork) solve(a *CSC, m preconditioner, x, b []float64, tol float64, ma
 	rz := dot(w.r, w.z)
 	rn := bnorm
 	for it := 1; it <= maxIter; it++ {
+		if err := ctl.Tick("sparse.cg"); err != nil {
+			return it - 1, rn / bnorm, err
+		}
 		a.MulVecInto(w.q, w.p)
 		pq := dot(w.p, w.q)
 		if !(pq > 0) {

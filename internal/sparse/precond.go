@@ -1,168 +1,467 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
 
-// ErrPrecondBreakdown is returned when an incomplete factorization cannot be
-// completed on the given values (non-positive IC(0) pivot, zero ILU(0)
-// pivot, missing diagonal entry). It signals "this matrix is not a good fit
-// for the iterative path", not singularity: the Engine responds by falling
-// back to the direct solver, which applies full pivoting.
-var ErrPrecondBreakdown = fmt.Errorf("sparse: incomplete factorization breakdown")
+// ErrPrecondBreakdown is returned when a preconditioner cannot be built on
+// the given values (a non-positive diagonal or a singular coarsest level of
+// the AMG hierarchy, a zero ILU(0) pivot, a missing diagonal entry). It
+// signals "this matrix is not a good fit for the iterative path", not
+// singularity: the Engine responds by falling back to the direct solver,
+// which applies full pivoting.
+var ErrPrecondBreakdown = fmt.Errorf("sparse: preconditioner breakdown")
 
-// icBreakdownTol rejects IC(0) pivots that are positive but so small the
-// resulting sqrt/divide would amplify noise instead of preconditioning.
-const icBreakdownTol = 1e-300
+// Smoothed-aggregation AMG constants. They are properties of the method on
+// the SPD conductance matrices the CG path serves, not tuning knobs.
+const (
+	// amgTheta is the strength-of-connection threshold: j is a strong
+	// neighbor of i when |a_ij| ≥ amgTheta·√(a_ii·a_jj).
+	amgTheta = 0.08
+	// amgOmega is the prolongator-smoothing weight in units of 1/ρ(D⁻¹A);
+	// ρ is bounded by the Gershgorin row sums of D⁻¹A.
+	amgOmega = 4.0 / 3
+	// amgCoarseMax is the largest level factored directly: the hierarchy
+	// stops coarsening once a level has this many unknowns or fewer.
+	amgCoarseMax = 256
+)
 
-// ic0 is a zero-fill incomplete Cholesky preconditioner: A ≈ L·Lᵀ where L
-// keeps exactly the lower-triangle pattern of A. The pattern is fixed at
-// build time; Refresh recomputes the numeric values in place, so a
-// simulator's Refactorize cadence carries over with no allocation.
-type ic0 struct {
-	n  int
-	lp []int     // column pointers of L, len n+1
-	li []int     // row indices (diagonal first, then ascending), len nnz(L)
-	lx []float64 // values
+// amg is a smoothed-aggregation algebraic multigrid V-cycle used as the CG
+// preconditioner for symmetric positive-definite matrices. Each level
+// aggregates strongly connected unknowns, smooths the piecewise-constant
+// tentative prolongator with one damped Jacobi step, and forms the Galerkin
+// coarse operator PᵀAP; the coarsest level is factored by the AMD-ordered
+// LU. One V-cycle runs a forward Gauss–Seidel sweep before each coarse
+// correction and a backward sweep after it, so the preconditioner is
+// symmetric positive definite.
+//
+// Setup fixes the aggregates and every sparsity pattern; Refresh recomputes
+// the prolongator and coarse-operator values in place and refactorizes the
+// coarsest level through LU.Refactorize, so a simulator's Refactorize
+// cadence carries over with no allocation. Setup iterates in index order
+// and runs on one goroutine, so the hierarchy and the CG iteration counts
+// it yields repeat exactly.
+type amg struct {
+	levels []amgLevel
+	lu     *LU // factors of the coarsest level's operator
 
-	aLow []int // aLow[j]: first index in A's column j with row >= j
-
-	// Numeric-pass scratch: left-looking traversal needs, for each column j,
-	// the set of earlier columns k with L[j,k] != 0. llist[r] heads a linked
-	// list (through lnext) of columns whose next unconsumed entry sits in row
-	// r; lptr[k] is that entry's index.
-	llist []int
-	lnext []int
-	lptr  []int
-	x     []float64
-	mark  []int32
-	gen   int32
+	// Refresh scratch, sized for the finest level: w holds A·P[:,J] and
+	// acc the aggregate row sums of one coarse column at a time; both are
+	// kept zero between columns.
+	w, acc []float64
 }
 
-// newIC0 builds the pattern of the IC(0) factor from a (columns must be
-// row-sorted, as Triplet.Compile produces) and runs the first numeric pass.
-func newIC0(a *CSC) (*ic0, error) {
-	n := a.N
-	ic := &ic0{
-		n:     n,
-		lp:    make([]int, n+1),
-		aLow:  make([]int, n),
-		llist: make([]int, n),
-		lnext: make([]int, n),
-		lptr:  make([]int, n),
-		x:     make([]float64, n),
-		mark:  make([]int32, n),
-	}
-	nnz := 0
-	for j := 0; j < n; j++ {
-		lo, hi := a.P[j], a.P[j+1]
-		for lo < hi && a.I[lo] < j {
-			lo++
-		}
-		if lo == hi || a.I[lo] != j {
-			return nil, fmt.Errorf("%w: no diagonal entry in column %d", ErrPrecondBreakdown, j)
-		}
-		ic.aLow[j] = lo
-		ic.lp[j] = nnz
-		nnz += hi - lo
-	}
-	ic.lp[n] = nnz
-	ic.li = make([]int, nnz)
-	ic.lx = make([]float64, nnz)
-	for j := 0; j < n; j++ {
-		copy(ic.li[ic.lp[j]:ic.lp[j+1]], a.I[ic.aLow[j]:a.P[j+1]])
-	}
-	if err := ic.Refresh(a); err != nil {
+// amgLevel is one level of the hierarchy. Every level but the coarsest
+// carries the prolongator P (n × nc) from the next coarser level, stored by
+// coarse column; restriction applies Pᵀ from the same columns.
+type amgLevel struct {
+	a    *CSC  // operator: the caller's matrix on level 0, PᵀAP below it
+	diag []int // diag[i]: slot of a's diagonal entry in column i
+
+	// mirror[p], for the entries p on or below the diagonal of a coarse
+	// operator, is the slot of the transposed entry: the Galerkin product
+	// computes the lower triangle and mirrors it, so coarse operators are
+	// exactly symmetric.
+	mirror []int
+
+	agg    []int     // agg[i]: aggregate (coarse unknown) of unknown i
+	mp, mi []int     // aggregate J's members are mi[mp[J]:mp[J+1]]
+	pp, pi []int     // P's column J holds rows pi[pp[J]:pp[J+1]] ...
+	px     []float64 // ... with values px[pp[J]:pp[J+1]]
+
+	x, b, r []float64 // V-cycle vectors (level 0 uses the caller's x and b)
+}
+
+// newAMG builds the hierarchy for a (columns must be row-sorted, as
+// Triplet.Compile produces) and computes its first set of values.
+func newAMG(a *CSC) (*amg, error) {
+	m := &amg{w: make([]float64, a.N), acc: make([]float64, a.N)}
+	m.levels = []amgLevel{{a: a}}
+	if err := m.levels[0].findDiag(); err != nil {
 		return nil, err
 	}
-	return ic, nil
+	for l := 0; ; l++ {
+		lv := &m.levels[l]
+		if err := lv.checkDiag(); err != nil {
+			return nil, err
+		}
+		n := lv.a.N
+		if n <= amgCoarseMax {
+			break
+		}
+		nc := lv.aggregate()
+		if 2*nc > n {
+			break // the level barely coarsens: factor it directly
+		}
+		c := lv.buildPatterns(nc)
+		next := amgLevel{a: c, x: make([]float64, nc), b: make([]float64, nc)}
+		if err := next.findDiag(); err != nil {
+			return nil, err
+		}
+		next.mirror = make([]int, len(c.I))
+		for j := 0; j < nc; j++ {
+			for p := next.diag[j]; p < c.P[j+1]; p++ {
+				next.mirror[p] = c.slot(j, c.I[p])
+			}
+		}
+		lv.r = make([]float64, n)
+		lv.galerkin(c, next.diag, next.mirror, m.w, m.acc)
+		m.levels = append(m.levels, next)
+	}
+	m.lu = Workspace(m.levels[len(m.levels)-1].a.N)
+	if err := m.lu.Factorize(m.levels[len(m.levels)-1].a, 1); err != nil {
+		return nil, fmt.Errorf("%w: coarsest level: %v", ErrPrecondBreakdown, err)
+	}
+	return m, nil
 }
 
-// Refresh recomputes the factor values for a matrix with the same pattern as
-// the one the preconditioner was built on. It allocates nothing.
-func (ic *ic0) Refresh(a *CSC) error {
-	n := ic.n
-	for i := 0; i < n; i++ {
-		ic.llist[i] = -1
+// findDiag locates the diagonal entry of every column.
+func (lv *amgLevel) findDiag() error {
+	a := lv.a
+	lv.diag = make([]int, a.N)
+	for j := 0; j < a.N; j++ {
+		p := a.P[j]
+		for p < a.P[j+1] && a.I[p] < j {
+			p++
+		}
+		if p == a.P[j+1] || a.I[p] != j {
+			return fmt.Errorf("%w: no diagonal entry in column %d", ErrPrecondBreakdown, j)
+		}
+		lv.diag[j] = p
 	}
-	for j := 0; j < n; j++ {
-		// Scatter the lower triangle of A(:,j) and stamp its pattern; updates
-		// outside the pattern are dropped (that is the "zero fill" part).
-		ic.gen++
-		gen := ic.gen
-		for p := ic.aLow[j]; p < a.P[j+1]; p++ {
-			i := a.I[p]
-			ic.x[i] = a.X[p]
-			ic.mark[i] = gen
-		}
-		// Apply every earlier column k with L[j,k] != 0.
-		for k := ic.llist[j]; k >= 0; {
-			next := ic.lnext[k]
-			ljk := ic.lx[ic.lptr[k]]
-			for p := ic.lptr[k]; p < ic.lp[k+1]; p++ {
-				if i := ic.li[p]; ic.mark[i] == gen {
-					ic.x[i] -= ljk * ic.lx[p]
-				}
-			}
-			// Column k's next nonzero row (if any) takes over its list slot.
-			ic.lptr[k]++
-			if ic.lptr[k] < ic.lp[k+1] {
-				r := ic.li[ic.lptr[k]]
-				ic.lnext[k] = ic.llist[r]
-				ic.llist[r] = k
-			}
-			k = next
-		}
-		d := ic.x[j]
-		if !(d > icBreakdownTol) || math.IsInf(d, 0) {
-			return fmt.Errorf("%w: IC(0) pivot %g in column %d", ErrPrecondBreakdown, d, j)
-		}
-		root := math.Sqrt(d)
-		ic.lx[ic.lp[j]] = root
-		for p := ic.lp[j] + 1; p < ic.lp[j+1]; p++ {
-			ic.lx[p] = ic.x[ic.li[p]] / root
-		}
-		// Link column j in for its first subdiagonal row.
-		ic.lptr[j] = ic.lp[j] + 1
-		if ic.lptr[j] < ic.lp[j+1] {
-			r := ic.li[ic.lptr[j]]
-			ic.lnext[j] = ic.llist[r]
-			ic.llist[r] = j
+	return nil
+}
+
+// checkDiag rejects a level whose diagonal is not strictly positive and
+// finite: such an operator is not SPD and the V-cycle would divide by it.
+func (lv *amgLevel) checkDiag() error {
+	for j, p := range lv.diag {
+		if d := lv.a.X[p]; !(d > 0) || math.IsInf(d, 0) {
+			return fmt.Errorf("%w: diagonal %g in column %d", ErrPrecondBreakdown, d, j)
 		}
 	}
 	return nil
 }
 
-// Apply solves L·Lᵀ·z = r (z and r may alias). It allocates nothing.
-func (ic *ic0) Apply(z, r []float64) {
-	n := ic.n
-	if &z[0] != &r[0] {
-		copy(z, r)
+// strong reports whether entry p of column i, in row j ≠ i, is a strong
+// connection.
+func (lv *amgLevel) strong(p, i, j int) bool {
+	x := lv.a.X
+	return math.Abs(x[p]) >= amgTheta*math.Sqrt(x[lv.diag[i]]*x[lv.diag[j]])
+}
+
+// aggregate partitions the level's unknowns into aggregates by strength of
+// connection, in three passes over the unknowns in index order: a node
+// whose strong neighbors are all free seeds an aggregate with them; a
+// remaining node joins the aggregate of a strong neighbor seeded in the
+// first pass; what is left seeds aggregates with its free strong neighbors
+// (alone when it has none). It fills agg and the member lists and returns
+// the aggregate count.
+func (lv *amgLevel) aggregate() int {
+	a := lv.a
+	n := a.N
+	agg := make([]int, n)
+	for i := range agg {
+		agg[i] = -1
 	}
-	// Forward solve L·y = r.
-	for j := 0; j < n; j++ {
-		zj := z[j] / ic.lx[ic.lp[j]]
-		z[j] = zj
-		for p := ic.lp[j] + 1; p < ic.lp[j+1]; p++ {
-			z[ic.li[p]] -= ic.lx[p] * zj
+	nc := 0
+	for i := 0; i < n; i++ {
+		if agg[i] >= 0 {
+			continue
+		}
+		free, has := true, false
+		for p := a.P[i]; p < a.P[i+1] && free; p++ {
+			if j := a.I[p]; j != i && lv.strong(p, i, j) {
+				has, free = true, agg[j] < 0
+			}
+		}
+		if !has || !free {
+			continue
+		}
+		agg[i] = nc
+		for p := a.P[i]; p < a.P[i+1]; p++ {
+			if j := a.I[p]; j != i && lv.strong(p, i, j) {
+				agg[j] = nc
+			}
+		}
+		nc++
+	}
+	// Second-pass joins are recorded as -2-J so that they do not seed
+	// further joins; they are resolved before the third pass.
+	for i := 0; i < n; i++ {
+		if agg[i] >= 0 {
+			continue
+		}
+		for p := a.P[i]; p < a.P[i+1]; p++ {
+			if j := a.I[p]; j != i && agg[j] >= 0 && lv.strong(p, i, j) {
+				agg[i] = -2 - agg[j]
+				break
+			}
 		}
 	}
-	// Back solve Lᵀ·z = y: column j of L is row j of Lᵀ, so each step is a
-	// dot product with the already-solved entries below.
-	for j := n - 1; j >= 0; j-- {
-		s := z[j]
-		for p := ic.lp[j] + 1; p < ic.lp[j+1]; p++ {
-			s -= ic.lx[p] * z[ic.li[p]]
+	for i, g := range agg {
+		if g <= -2 {
+			agg[i] = -2 - g
 		}
-		z[j] = s / ic.lx[ic.lp[j]]
+	}
+	for i := 0; i < n; i++ {
+		if agg[i] >= 0 {
+			continue
+		}
+		agg[i] = nc
+		for p := a.P[i]; p < a.P[i+1]; p++ {
+			if j := a.I[p]; j != i && agg[j] < 0 && lv.strong(p, i, j) {
+				agg[j] = nc
+			}
+		}
+		nc++
+	}
+	lv.agg = agg
+	lv.mp = make([]int, nc+1)
+	for _, g := range agg {
+		lv.mp[g+1]++
+	}
+	for g := 0; g < nc; g++ {
+		lv.mp[g+1] += lv.mp[g]
+	}
+	lv.mi = make([]int, n)
+	next := append([]int(nil), lv.mp[:nc]...)
+	for i, g := range agg {
+		lv.mi[next[g]] = i
+		next[g]++
+	}
+	return nc
+}
+
+// buildPatterns fixes the sparsity of the smoothed prolongator
+// P = (I − ωD⁻¹A)·T, where T is the aggregates' piecewise-constant
+// indicator, and returns the coarse operator PᵀAP with its pattern built
+// and its values zero. P's column J spans the members of aggregate J and
+// their neighbors; the coarse column J spans every aggregate that P
+// reaches from the neighbors of that column's rows.
+func (lv *amgLevel) buildPatterns(nc int) *CSC {
+	a := lv.a
+	n := a.N
+	mark := make([]int, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	lv.pp = make([]int, nc+1)
+	lv.pi = make([]int, 0, 3*n)
+	for J := 0; J < nc; J++ {
+		for _, m := range lv.mi[lv.mp[J]:lv.mp[J+1]] {
+			for p := a.P[m]; p < a.P[m+1]; p++ {
+				if i := a.I[p]; mark[i] != J {
+					mark[i] = J
+					lv.pi = append(lv.pi, i)
+				}
+			}
+		}
+		lv.pp[J+1] = len(lv.pi)
+	}
+	lv.px = make([]float64, len(lv.pi))
+
+	// P's rows, for the coarse pattern only.
+	rp := make([]int, n+1)
+	for _, i := range lv.pi {
+		rp[i+1]++
+	}
+	for i := 0; i < n; i++ {
+		rp[i+1] += rp[i]
+	}
+	rj := make([]int, len(lv.pi))
+	next := append([]int(nil), rp[:n]...)
+	for J := 0; J < nc; J++ {
+		for _, i := range lv.pi[lv.pp[J]:lv.pp[J+1]] {
+			rj[next[i]] = J
+			next[i]++
+		}
+	}
+
+	c := &CSC{N: nc, P: make([]int, nc+1), I: make([]int, 0, len(lv.pi))}
+	cmark := make([]int, nc)
+	for I := range cmark {
+		cmark[I] = -1
+	}
+	for i := range mark {
+		mark[i] = -1
+	}
+	for J := 0; J < nc; J++ {
+		start := len(c.I)
+		for _, k := range lv.pi[lv.pp[J]:lv.pp[J+1]] {
+			for p := a.P[k]; p < a.P[k+1]; p++ {
+				m := a.I[p]
+				if mark[m] == J {
+					continue
+				}
+				mark[m] = J
+				for _, I := range rj[rp[m]:rp[m+1]] {
+					if cmark[I] != J {
+						cmark[I] = J
+						c.I = append(c.I, I)
+					}
+				}
+			}
+		}
+		col := c.I[start:]
+		for q := 1; q < len(col); q++ {
+			for r := q; r > 0 && col[r-1] > col[r]; r-- {
+				col[r-1], col[r] = col[r], col[r-1]
+			}
+		}
+		c.P[J+1] = len(c.I)
+	}
+	c.X = make([]float64, len(c.I))
+	return c
+}
+
+// galerkin recomputes this level's prolongator values from its operator
+// and then the next level's operator c = PᵀAP (cdiag and mirror describe
+// c). w and acc are zero on entry and on return. It allocates nothing.
+func (lv *amgLevel) galerkin(c *CSC, cdiag, mirror []int, w, acc []float64) {
+	a := lv.a
+	n := a.N
+	rho := 0.0
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for p := a.P[i]; p < a.P[i+1]; p++ {
+			s += math.Abs(a.X[p])
+		}
+		rho = math.Max(rho, s/a.X[lv.diag[i]])
+	}
+	omega := amgOmega / rho
+	for J := 0; J+1 < len(lv.pp); J++ {
+		for _, m := range lv.mi[lv.mp[J]:lv.mp[J+1]] {
+			for p := a.P[m]; p < a.P[m+1]; p++ {
+				acc[a.I[p]] += a.X[p]
+			}
+		}
+		for q := lv.pp[J]; q < lv.pp[J+1]; q++ {
+			i := lv.pi[q]
+			v := -omega * acc[i] / a.X[lv.diag[i]]
+			if lv.agg[i] == J {
+				v++
+			}
+			lv.px[q] = v
+			acc[i] = 0
+		}
+	}
+	for J := 0; J < c.N; J++ {
+		for q := lv.pp[J]; q < lv.pp[J+1]; q++ {
+			k, pk := lv.pi[q], lv.px[q]
+			for p := a.P[k]; p < a.P[k+1]; p++ {
+				w[a.I[p]] += a.X[p] * pk
+			}
+		}
+		for p := cdiag[J]; p < c.P[J+1]; p++ {
+			I := c.I[p]
+			s := 0.0
+			for q := lv.pp[I]; q < lv.pp[I+1]; q++ {
+				s += lv.px[q] * w[lv.pi[q]]
+			}
+			c.X[p] = s
+			c.X[mirror[p]] = s
+		}
+		for q := lv.pp[J]; q < lv.pp[J+1]; q++ {
+			k := lv.pi[q]
+			for p := a.P[k]; p < a.P[k+1]; p++ {
+				w[a.I[p]] = 0
+			}
+		}
+	}
+}
+
+// Refresh recomputes the hierarchy's values for a matrix with the same
+// pattern as the one it was built on, keeping the aggregates. It
+// allocates nothing unless the coarsest level's stored pivots go unhealthy
+// and it must be factored afresh.
+func (m *amg) Refresh(a *CSC) error {
+	m.levels[0].a = a
+	last := len(m.levels) - 1
+	for l := range m.levels {
+		lv := &m.levels[l]
+		if err := lv.checkDiag(); err != nil {
+			return err
+		}
+		if l < last {
+			next := &m.levels[l+1]
+			lv.galerkin(next.a, next.diag, next.mirror, m.w, m.acc)
+		}
+	}
+	c := m.levels[last].a
+	err := m.lu.Refactorize(c)
+	if errors.Is(err, ErrRefactorUnhealthy) {
+		err = m.lu.Factorize(c, 1)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: coarsest level: %v", ErrPrecondBreakdown, err)
+	}
+	return nil
+}
+
+// Apply runs one V-cycle from a zero guess: z ≈ A⁻¹r. z and r must not
+// alias. It allocates nothing.
+func (m *amg) Apply(z, r []float64) { m.cycle(0, z, r) }
+
+// cycle runs the V-cycle from level l down, solving approximately
+// A_l·x = b.
+func (m *amg) cycle(l int, x, b []float64) {
+	if l == len(m.levels)-1 {
+		m.lu.SolveInto(x, b)
+		return
+	}
+	lv := &m.levels[l]
+	a := lv.a
+	n := a.N
+	// Forward Gauss–Seidel from x = 0 (columns double as rows: a is
+	// symmetric). Its residual is minus the strict upper triangle times x.
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for p := a.P[i]; p < lv.diag[i]; p++ {
+			s -= a.X[p] * x[a.I[p]]
+		}
+		x[i] = s / a.X[lv.diag[i]]
+	}
+	r := lv.r
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for p := lv.diag[i] + 1; p < a.P[i+1]; p++ {
+			s -= a.X[p] * x[a.I[p]]
+		}
+		r[i] = s
+	}
+	next := &m.levels[l+1]
+	for J := range next.b {
+		s := 0.0
+		for q := lv.pp[J]; q < lv.pp[J+1]; q++ {
+			s += lv.px[q] * r[lv.pi[q]]
+		}
+		next.b[J] = s
+	}
+	m.cycle(l+1, next.x, next.b)
+	for J, xc := range next.x {
+		for q := lv.pp[J]; q < lv.pp[J+1]; q++ {
+			x[lv.pi[q]] += lv.px[q] * xc
+		}
+	}
+	// Backward Gauss–Seidel, the forward sweep's adjoint.
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for p := a.P[i]; p < a.P[i+1]; p++ {
+			if j := a.I[p]; j != i {
+				s -= a.X[p] * x[j]
+			}
+		}
+		x[i] = s / a.X[lv.diag[i]]
 	}
 }
 
 // ilu0 is a zero-fill incomplete LU preconditioner: A ≈ L·U where the
 // combined factors keep exactly A's pattern. L has an implicit unit
-// diagonal; subdiagonal slots hold L, the rest hold U. Like ic0, the pattern
-// is fixed at build time and Refresh is allocation-free.
+// diagonal; subdiagonal slots hold L, the rest hold U. The pattern is fixed
+// at build time and Refresh is allocation-free.
 type ilu0 struct {
 	n    int
 	a    *CSC      // pattern reference (P and I reused; values NOT read after Refresh)
