@@ -26,6 +26,22 @@ func benchMesh(b *testing.B, edge int) *Mesh {
 	return m
 }
 
+// benchBuild measures Build at the given scale: defaults, the bump layout,
+// and the DC system's direct CSC assembly.
+func benchBuild(b *testing.B, edge int) {
+	s := Spec{NX: edge, NY: edge, Tech: "100nm"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPDNBuild1e3(b *testing.B) { benchBuild(b, benchEdge1e3) }
+func BenchmarkPDNBuild1e4(b *testing.B) { benchBuild(b, benchEdge1e4) }
+func BenchmarkPDNBuild1e5(b *testing.B) { benchBuild(b, benchEdge1e5) }
+
 // benchFactor measures a cold engine Factorize at the given scale: AMD
 // ordering + numeric LU below the direct threshold, AMG hierarchy
 // construction on the CG path above it. Custom metrics record the factor

@@ -5,9 +5,10 @@
 // NX×NY nodes joined by RL segments, per-node decoupling capacitance, and a
 // sparse array of C4 bumps tying the grid to the package supply through an
 // RL branch. Two analyses run on the mesh: a DC IR-drop solve (conductances
-// only — the symmetric positive-definite shape the CG path eats) and an AC
-// impedance-profile sweep over log-spaced frequencies (a complex system
-// solved in its real 2n×2n equivalent through the batched sweep engine).
+// only — the symmetric positive-definite shape the CG path eats, assembled
+// straight into CSC because the grid is regular) and an AC impedance-profile
+// sweep over log-spaced frequencies (a complex system solved in its real
+// 2n×2n equivalent through the batched sweep engine).
 package pdn
 
 import (
@@ -63,9 +64,9 @@ type Spec struct {
 	VDD float64 `json:"vdd,omitempty"` // V
 }
 
-// Mesh is a built PDN ready for analysis. Building compiles the DC
-// conductance system once; the AC sweep builds its own (larger) systems in
-// per-worker scratch.
+// Mesh is a built PDN ready for analysis. Build assembles the DC
+// conductance matrix once, at its exact size; the AC sweep stamps its own
+// (larger) systems into frozen triplets in per-worker scratch.
 type Mesh struct {
 	Spec Spec
 	N    int // NX*NY unknowns
@@ -87,51 +88,6 @@ func (m *Mesh) node(x, y int) int { return y*m.Spec.NX + x }
 
 // Bumps returns the node indices of the C4 bump sites.
 func (m *Mesh) Bumps() []int { return m.bumps }
-
-// buildDC stamps the DC conductance system: segment conductances between
-// grid neighbors and bump conductances to the supply. The result is
-// symmetric positive definite, so the engine's auto policy routes large
-// meshes to AMG-preconditioned CG.
-func (m *Mesh) buildDC() {
-	s := m.Spec
-	tr := sparse.NewTriplet(m.N)
-	gSeg := 1 / m.RSeg
-	for y := 0; y < s.NY; y++ {
-		for x := 0; x < s.NX; x++ {
-			i := m.node(x, y)
-			if x+1 < s.NX {
-				j := m.node(x+1, y)
-				tr.Add(i, i, gSeg)
-				tr.Add(j, j, gSeg)
-				tr.Add(i, j, -gSeg)
-				tr.Add(j, i, -gSeg)
-			}
-			if y+1 < s.NY {
-				j := m.node(x, y+1)
-				tr.Add(i, i, gSeg)
-				tr.Add(j, j, gSeg)
-				tr.Add(i, j, -gSeg)
-				tr.Add(j, i, -gSeg)
-			}
-		}
-	}
-	gBump := 1 / s.RBump
-	for _, i := range m.bumps {
-		tr.Add(i, i, gBump)
-	}
-	m.g = tr.Compile()
-
-	// RHS: bump sites source VDD through their conductance; every node
-	// sinks its load current.
-	m.bDC = make([]float64, m.N)
-	for _, i := range m.bumps {
-		m.bDC[i] += s.VDD * gBump
-	}
-	for i := range m.bDC {
-		m.bDC[i] -= s.ILoad
-	}
-	m.bDC[m.node(s.HotX, s.HotY)] -= s.IHot
-}
 
 // IRResult reports a DC IR-drop analysis.
 type IRResult struct {
@@ -196,10 +152,87 @@ func (m *Mesh) solveIR(opts sparse.EngineOpts) (*IRResult, error) {
 	return res, nil
 }
 
-// withDefaults validates s and fills defaulted fields.
+// buildDC assembles the DC conductance system: segment conductances between
+// grid neighbors and bump conductances to the supply. The regular grid's
+// 5-point matrix is written straight into CSC of exact size, one column per
+// node with rows j−NX, j−1, j, j+1, j+NX in ascending order (those on the
+// grid). A diagonal sums its segments in that order and then its bump
+// conductance, the order in which compiling the equivalent triplet stamps
+// would sum them, so the values match that compile bit for bit. The result
+// is symmetric positive definite, so the engine's auto policy routes large
+// meshes to AMG-preconditioned CG.
+func (m *Mesh) buildDC() {
+	s := m.Spec
+	nx := s.NX
+	gSeg := 1 / m.RSeg
+	nnz := m.N + 2*((nx-1)*s.NY+nx*(s.NY-1))
+	g := &sparse.CSC{N: m.N, P: make([]int, m.N+1), I: make([]int, nnz), X: make([]float64, nnz)}
+	k := 0
+	for y := 0; y < s.NY; y++ {
+		for x := 0; x < nx; x++ {
+			j := m.node(x, y)
+			d := 0.0
+			if y > 0 {
+				g.I[k], g.X[k] = j-nx, -gSeg
+				d += gSeg
+				k++
+			}
+			if x > 0 {
+				g.I[k], g.X[k] = j-1, -gSeg
+				d += gSeg
+				k++
+			}
+			dk := k
+			k++
+			if x+1 < nx {
+				g.I[k], g.X[k] = j+1, -gSeg
+				d += gSeg
+				k++
+			}
+			if y+1 < s.NY {
+				g.I[k], g.X[k] = j+nx, -gSeg
+				d += gSeg
+				k++
+			}
+			g.I[dk], g.X[dk] = j, d
+			g.P[j+1] = k
+		}
+	}
+	gBump := 1 / s.RBump
+	for _, i := range m.bumps {
+		p := g.P[i]
+		for g.I[p] < i {
+			p++
+		}
+		g.X[p] += gBump
+	}
+	m.g = g
+
+	// RHS: bump sites source VDD through their conductance; every node
+	// sinks its load current.
+	m.bDC = make([]float64, m.N)
+	for _, i := range m.bumps {
+		m.bDC[i] += s.VDD * gBump
+	}
+	for i := range m.bDC {
+		m.bDC[i] -= s.ILoad
+	}
+	m.bDC[m.node(s.HotX, s.HotY)] -= s.IHot
+}
+
+// withDefaults validates s and fills defaulted fields. NaN and ±Inf, which
+// the sign tests below would let through, are rejected first.
 func (s Spec) withDefaults() (Spec, error) {
 	if s.NX < 2 || s.NY < 2 {
 		return s, diag.Domainf("pdn.Spec", "grid must be at least 2x2, got %dx%d", s.NX, s.NY)
+	}
+	if err := diag.CheckFinite("pdn.Spec",
+		[]string{"pitch_mm", "l_per_m", "r_bump", "l_bump", "c_node", "i_load", "i_hot", "vdd"},
+		[]float64{s.PitchMM, s.LPerM, s.RBump, s.LBump, s.CNode, s.ILoad, s.IHot, s.VDD}); err != nil {
+		return s, err
+	}
+	if s.LPerM < 0 || s.CNode < 0 {
+		return s, diag.Domainf("pdn.Spec", "negative inductance or decap (l_per_m=%g, c_node=%g)", s.LPerM, s.CNode)
 	}
 	if s.Tech == "" {
 		s.Tech = "100nm"

@@ -2,8 +2,10 @@ package pdn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"rlcint/internal/diag"
@@ -99,6 +101,12 @@ func TestBuildValidation(t *testing.T) {
 		"unknown tech":                {NX: 4, NY: 4, Tech: "13nm"},
 		"bump array larger than grid": {NX: 4, NY: 4, BumpNX: 9},
 		"hotspot outside grid":        {NX: 4, NY: 4, HotX: 7, HotY: 1},
+		"negative inductance":         {NX: 4, NY: 4, LPerM: -1e-6},
+		"negative decap":              {NX: 4, NY: 4, CNode: -1e-15},
+		"NaN pitch":                   {NX: 4, NY: 4, PitchMM: math.NaN()},
+		"infinite load":               {NX: 4, NY: 4, ILoad: math.Inf(1)},
+		"NaN supply":                  {NX: 4, NY: 4, VDD: math.NaN()},
+		"infinite bump inductance":    {NX: 4, NY: 4, LBump: math.Inf(-1)},
 	} {
 		if _, err := Build(s); !errors.Is(err, diag.ErrDomain) {
 			t.Errorf("%s: err = %v, want a diag domain error", name, err)
@@ -160,21 +168,121 @@ func TestIRDropPhysics(t *testing.T) {
 	}
 }
 
-// TestIRKirchhoff verifies the DC solution satisfies the assembled system
-// (residual check against the mesh's own conductance matrix).
+// stampedDC assembles m's DC conductance matrix the way a netlist would:
+// four triplet entries per segment, the bump conductances last, then
+// Compile. It is the oracle for buildDC's direct CSC assembly.
+func stampedDC(m *Mesh) *sparse.CSC {
+	s := m.Spec
+	tr := sparse.NewTriplet(m.N)
+	gSeg := 1 / m.RSeg
+	for y := 0; y < s.NY; y++ {
+		for x := 0; x < s.NX; x++ {
+			i := m.node(x, y)
+			if x+1 < s.NX {
+				j := m.node(x+1, y)
+				tr.Add(i, i, gSeg)
+				tr.Add(j, j, gSeg)
+				tr.Add(i, j, -gSeg)
+				tr.Add(j, i, -gSeg)
+			}
+			if y+1 < s.NY {
+				j := m.node(x, y+1)
+				tr.Add(i, i, gSeg)
+				tr.Add(j, j, gSeg)
+				tr.Add(i, j, -gSeg)
+				tr.Add(j, i, -gSeg)
+			}
+		}
+	}
+	for _, i := range m.bumps {
+		tr.Add(i, i, 1/s.RBump)
+	}
+	return tr.Compile()
+}
+
+// TestBuildMatchesStampedOracle pins the direct CSC assembly to the stamped
+// one: the same column pointers and row indices, and bitwise-equal values,
+// so every voltage and CG iteration count downstream is unchanged.
+func TestBuildMatchesStampedOracle(t *testing.T) {
+	for _, s := range []Spec{
+		{NX: 2, NY: 2, BumpNX: 1, BumpNY: 1},
+		{NX: 3, NY: 7, BumpNX: 2, BumpNY: 3},
+		{NX: 12, NY: 9},
+		{NX: 64, NY: 64},
+		{NX: 10, NY: 6, BumpNX: 10, BumpNY: 2},
+		{NX: 316, NY: 316},
+	} {
+		m, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := stampedDC(m), m.g
+		name := fmt.Sprintf("%dx%d mesh, %dx%d bumps", s.NX, s.NY, m.Spec.BumpNX, m.Spec.BumpNY)
+		if got.N != want.N || !slices.Equal(got.P, want.P) || !slices.Equal(got.I, want.I) {
+			t.Errorf("%s: pattern differs from the stamped oracle", name)
+			continue
+		}
+		for p := range want.X {
+			if math.Float64bits(got.X[p]) != math.Float64bits(want.X[p]) {
+				t.Errorf("%s: value %d (row %d) = %v, oracle %v", name, p, got.I[p], got.X[p], want.X[p])
+				break
+			}
+		}
+	}
+}
+
+// TestIRKirchhoff checks the DC solution against the mesh's circuit
+// equations, computed here from the segments, bumps and loads without
+// reading the assembled matrix: at every node the currents out through the
+// incident segments and the bump branch must equal the load it draws. The
+// 12×9 mesh solves by direct LU, the 64×48 one by CG, which stops at a
+// residual of 1e-10·‖b‖ (b is dominated by the bump sources): about 3e-8
+// of the total load per node at worst, so the bound is 1e-7.
 func TestIRKirchhoff(t *testing.T) {
-	m, err := Build(testSpec(12, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.SolveIR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := m.g.MulVec(res.V)
-	for i := range r {
-		if math.Abs(r[i]-m.bDC[i]) > 1e-8 {
-			t.Fatalf("KCL residual %g at node %d", r[i]-m.bDC[i], i)
+	for _, c := range []struct {
+		nx, ny int
+		solver string
+	}{{12, 9, "direct"}, {64, 48, "cg"}} {
+		m, err := Build(testSpec(c.nx, c.ny))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.SolveIR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, v := m.Spec, res.V
+		out := make([]float64, m.N)
+		seg := func(i, j int) {
+			cur := (v[i] - v[j]) / m.RSeg
+			out[i] += cur
+			out[j] -= cur
+		}
+		for y := 0; y < s.NY; y++ {
+			for x := 0; x < s.NX; x++ {
+				i := y*s.NX + x
+				if x+1 < s.NX {
+					seg(i, i+1)
+				}
+				if y+1 < s.NY {
+					seg(i, i+s.NX)
+				}
+			}
+		}
+		for _, i := range m.Bumps() {
+			out[i] += (v[i] - s.VDD) / s.RBump
+		}
+		out[s.HotY*s.NX+s.HotX] += s.IHot
+		worst := 0.0
+		for i := range out {
+			worst = math.Max(worst, math.Abs(out[i]+s.ILoad))
+		}
+		if r := worst / (float64(m.N)*s.ILoad + s.IHot); r > 1e-7 {
+			t.Errorf("%dx%d mesh (%s): worst KCL residual %.3g of the total load",
+				s.NX, s.NY, res.Solver.Solver, r)
+		}
+		if res.Solver.Solver != c.solver {
+			t.Errorf("%dx%d mesh solved by %q, want %q", s.NX, s.NY, res.Solver.Solver, c.solver)
 		}
 	}
 }

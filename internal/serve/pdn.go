@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -29,11 +30,12 @@ type pdnIRReq struct {
 func (q *pdnIRReq) validate(*Config) error { return validatePDNSpec(&q.Spec) }
 
 // validatePDNSpec canonicalizes the spec in place (so cache keys see the
-// defaulted form) and applies the server-side size cap.
+// defaulted form) and applies the server-side size cap. A spec pdn rejects
+// keeps its diag domain kind, so it answers 400 domain.
 func validatePDNSpec(s *pdn.Spec) error {
 	c, err := s.Canonical()
 	if err != nil {
-		return badRequestf("%v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
 	if c.NX*c.NY > maxPDNNodes {
 		return badRequestf("mesh of %d nodes exceeds the per-request limit of %d", c.NX*c.NY, maxPDNNodes)

@@ -122,3 +122,23 @@ func TestPDNImpedanceEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestPDNSpecDomain checks that a spec pdn rejects as unphysical answers
+// 400 with kind domain on both endpoints, before any mesh is built.
+func TestPDNSpecDomain(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/pdn/impedance", `{"nx": 8, "ny": 8, "c_node": -1e-15}`},
+		{"/v1/pdn/impedance", `{"nx": 8, "ny": 8, "l_per_m": -1e-6}`},
+		{"/v1/pdn/ir", `{"nx": 8, "ny": 8, "l_per_m": -1e-6}`},
+		{"/v1/pdn/ir", `{"nx": 1, "ny": 5}`},
+	} {
+		resp, b := postJSON(t, ts.URL+c.path, c.body)
+		var env struct {
+			Error apiError `json:"error"`
+		}
+		if err := json.Unmarshal(b, &env); err != nil || resp.StatusCode != http.StatusBadRequest || env.Error.Kind != "domain" {
+			t.Errorf("%s %s: status %d (%s), want 400 domain", c.path, c.body, resp.StatusCode, b)
+		}
+	}
+}

@@ -144,8 +144,9 @@ func TestWaitReadyHonorsContext(t *testing.T) {
 // TestRetryAfterOnQueueFull: a shed request tells the client when to come
 // back.
 func TestRetryAfterOnQueueFull(t *testing.T) {
-	s, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1})
-	// Park a slow cold sweep in the single slot.
+	inj, held, release := parkFirstEval()
+	_, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1, Injector: inj})
+	// Park a cold sweep, held at its first evaluation, in the single slot.
 	slowCtx, cancelSlow := context.WithCancel(context.Background())
 	defer cancelSlow()
 	var ls []string
@@ -164,10 +165,8 @@ func TestRetryAfterOnQueueFull(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	defer func() { cancelSlow(); <-slowDone }()
-	for s.limiter.inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	defer func() { cancelSlow(); release(); <-slowDone }()
+	waitHeld(t, held)
 	resp, body := postJSON(t, ts.URL+"/v1/optimize", `{"tech":"100nm","l":3e-6}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d body=%s, want 503", resp.StatusCode, body)

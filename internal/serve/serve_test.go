@@ -51,6 +51,43 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
+// parkFirstEval returns an injector that holds the first core.eval it sees
+// until release is called (or ten seconds pass, so a request wrongly
+// queued behind it fails its test instead of hanging it), and a channel
+// closed once that evaluation is held; later evaluations pass. A sweep
+// whose point it holds keeps its admission slot for as long as a test
+// needs, however fast the optimizer.
+func parkFirstEval() (inj *diag.Injector, held <-chan struct{}, release func()) {
+	parked, gate := make(chan struct{}), make(chan struct{})
+	var first, open sync.Once
+	inj = &diag.Injector{Fault: func(s diag.Site) error {
+		if s.Op != "core.eval" {
+			return nil
+		}
+		hold := false
+		first.Do(func() { hold = true })
+		if hold {
+			close(parked)
+			select {
+			case <-gate:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	}}
+	return inj, parked, func() { open.Do(func() { close(gate) }) }
+}
+
+// waitHeld fails the test unless held closes within ten seconds.
+func waitHeld(t *testing.T, held <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep never reached the optimizer")
+	}
+}
+
 func metricsSnapshot(t *testing.T, base string) map[string]any {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
@@ -364,8 +401,15 @@ func TestMapErrorTaxonomy(t *testing.T) {
 }
 
 func TestDeadlineMapsTo504(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	// 200 cold points with a 1 ms budget cannot finish.
+	// Every evaluation takes 2 ms, so no 32-point chunk of the sweep can
+	// finish within its 1 ms budget, however fast the optimizer gets.
+	slow := &diag.Injector{Fault: func(s diag.Site) error {
+		if s.Op == "core.eval" {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return nil
+	}}
+	_, ts := testServer(t, Config{Injector: slow})
 	var ls []string
 	for i := 0; i < 200; i++ {
 		ls = append(ls, fmt.Sprintf("%g", float64(i)*1e-8))
@@ -379,10 +423,12 @@ func TestDeadlineMapsTo504(t *testing.T) {
 
 func TestQueueFullMapsTo503(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	s, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1})
-	// Park one slow cold sweep in the single slot.
+	inj, held, release := parkFirstEval()
+	s, ts := testServer(t, Config{MaxInflight: 1, MaxQueue: -1, Injector: inj})
+	// Park one cold sweep, held at its first evaluation, in the single slot.
 	slowCtx, cancelSlow := context.WithCancel(context.Background())
 	defer cancelSlow()
+	defer release()
 	var ls []string
 	for i := 0; i < 2000; i++ {
 		ls = append(ls, fmt.Sprintf("%g", float64(i)*1e-9))
@@ -399,9 +445,7 @@ func TestQueueFullMapsTo503(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	for s.limiter.inflight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitHeld(t, held)
 	// A different request now finds no slot and no queue.
 	resp, body := postJSON(t, ts.URL+"/v1/optimize", `{"tech":"100nm","l":3e-6}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -414,6 +458,7 @@ func TestQueueFullMapsTo503(t *testing.T) {
 		t.Errorf("503 body = %s", body)
 	}
 	cancelSlow()
+	release()
 	<-slowDone
 	// The cancelled sweep must release its slot promptly — no orphaned
 	// batch workers holding admission capacity.

@@ -82,6 +82,7 @@ func newAMG(a *CSC) (*amg, error) {
 	if err := m.levels[0].findDiag(); err != nil {
 		return nil, err
 	}
+	var s amgScratch
 	for l := 0; ; l++ {
 		lv := &m.levels[l]
 		if err := lv.checkDiag(); err != nil {
@@ -95,7 +96,7 @@ func newAMG(a *CSC) (*amg, error) {
 		if 2*nc > n {
 			break // the level barely coarsens: factor it directly
 		}
-		c := lv.buildPatterns(nc)
+		c := lv.buildPatterns(nc, &s)
 		next := amgLevel{a: c, x: make([]float64, nc), b: make([]float64, nc)}
 		if err := next.findDiag(); err != nil {
 			return nil, err
@@ -226,13 +227,27 @@ func (lv *amgLevel) aggregate() int {
 	for g := 0; g < nc; g++ {
 		lv.mp[g+1] += lv.mp[g]
 	}
+	// mp[g] serves as aggregate g's fill cursor, which leaves it at the
+	// start of aggregate g+1; shifting it back restores the pointers.
 	lv.mi = make([]int, n)
-	next := append([]int(nil), lv.mp[:nc]...)
 	for i, g := range agg {
-		lv.mi[next[g]] = i
-		next[g]++
+		lv.mi[lv.mp[g]] = i
+		lv.mp[g]++
 	}
+	copy(lv.mp[1:], lv.mp[:nc])
+	lv.mp[0] = 0
 	return nc
+}
+
+// amgScratch is the setup scratch newAMG shares across levels, sized on
+// the finest level, which is the largest: marks over fine and coarse
+// unknowns, P's row index (row i of P holds the coarse columns
+// rj[rp[i]:rp[i+1]]) and the coarse pattern under construction. int32
+// halves it and requires P to have fewer than 2³¹ entries; on a mesh
+// operator P has about 2.5 per unknown, so that holds up to some 8·10⁸
+// unknowns, a finest matrix of about 65 GB.
+type amgScratch struct {
+	mark, cmark, rp, rj, ci []int32
 }
 
 // buildPatterns fixes the sparsity of the smoothed prolongator
@@ -240,78 +255,99 @@ func (lv *amgLevel) aggregate() int {
 // indicator, and returns the coarse operator PᵀAP with its pattern built
 // and its values zero. P's column J spans the members of aggregate J and
 // their neighbors; the coarse column J spans every aggregate that P
-// reaches from the neighbors of that column's rows.
-func (lv *amgLevel) buildPatterns(nc int) *CSC {
+// reaches from the neighbors of that column's rows. Every slice the level
+// keeps has its exact size; the rest lives in s.
+func (lv *amgLevel) buildPatterns(nc int, s *amgScratch) *CSC {
 	a := lv.a
 	n := a.N
-	mark := make([]int, n)
+	if s.mark == nil {
+		s.mark, s.cmark, s.rp = make([]int32, n), make([]int32, nc), make([]int32, n+1)
+		s.rj = make([]int32, 0, 3*n)
+	}
+	mark, cmark, rp := s.mark[:n], s.cmark[:nc], s.rp[:n+1]
+
+	// P's columns are gathered in s.rj, counting P's rows into rp on the
+	// way, and copied out at their exact size; s.rj then takes P's row
+	// index, filled with rp[i] as row i's cursor.
 	for i := range mark {
 		mark[i] = -1
 	}
+	clear(rp)
+	cols := s.rj[:0]
 	lv.pp = make([]int, nc+1)
-	lv.pi = make([]int, 0, 3*n)
 	for J := 0; J < nc; J++ {
 		for _, m := range lv.mi[lv.mp[J]:lv.mp[J+1]] {
 			for p := a.P[m]; p < a.P[m+1]; p++ {
-				if i := a.I[p]; mark[i] != J {
-					mark[i] = J
-					lv.pi = append(lv.pi, i)
+				if i := a.I[p]; mark[i] != int32(J) {
+					mark[i] = int32(J)
+					rp[i+1]++
+					cols = append(cols, int32(i))
 				}
 			}
 		}
-		lv.pp[J+1] = len(lv.pi)
+		lv.pp[J+1] = len(cols)
+	}
+	lv.pi = make([]int, len(cols))
+	for q, i := range cols {
+		lv.pi[q] = int(i)
 	}
 	lv.px = make([]float64, len(lv.pi))
-
-	// P's rows, for the coarse pattern only.
-	rp := make([]int, n+1)
-	for _, i := range lv.pi {
-		rp[i+1]++
-	}
 	for i := 0; i < n; i++ {
 		rp[i+1] += rp[i]
 	}
-	rj := make([]int, len(lv.pi))
-	next := append([]int(nil), rp[:n]...)
+	rj := cols
 	for J := 0; J < nc; J++ {
 		for _, i := range lv.pi[lv.pp[J]:lv.pp[J+1]] {
-			rj[next[i]] = J
-			next[i]++
+			rj[rp[i]] = int32(J)
+			rp[i]++
 		}
 	}
+	copy(rp[1:], rp[:n]) // each cursor stopped at the next row's start
+	rp[0] = 0
+	s.rj = rj
 
-	c := &CSC{N: nc, P: make([]int, nc+1), I: make([]int, 0, len(lv.pi))}
-	cmark := make([]int, nc)
+	// The coarse pattern is gathered in s.ci and copied out at its exact
+	// size. The finest level presizes s.ci at P's entry count, which the
+	// pattern stays below on mesh operators (about 0.6 of it).
+	if s.ci == nil {
+		s.ci = make([]int32, 0, len(lv.pi))
+	}
+	ci := s.ci[:0]
+	c := &CSC{N: nc, P: make([]int, nc+1)}
 	for I := range cmark {
 		cmark[I] = -1
 	}
-	for i := range mark {
-		mark[i] = -1
-	}
+	// Column J tags the fine rows it has visited with nc+J, above every
+	// tag P's columns left in mark, so mark needs no second reset.
 	for J := 0; J < nc; J++ {
-		start := len(c.I)
+		start, tag := len(ci), int32(nc+J)
 		for _, k := range lv.pi[lv.pp[J]:lv.pp[J+1]] {
 			for p := a.P[k]; p < a.P[k+1]; p++ {
 				m := a.I[p]
-				if mark[m] == J {
+				if mark[m] == tag {
 					continue
 				}
-				mark[m] = J
+				mark[m] = tag
 				for _, I := range rj[rp[m]:rp[m+1]] {
-					if cmark[I] != J {
-						cmark[I] = J
-						c.I = append(c.I, I)
+					if cmark[I] != int32(J) {
+						cmark[I] = int32(J)
+						ci = append(ci, I)
 					}
 				}
 			}
 		}
-		col := c.I[start:]
+		col := ci[start:]
 		for q := 1; q < len(col); q++ {
 			for r := q; r > 0 && col[r-1] > col[r]; r-- {
 				col[r-1], col[r] = col[r], col[r-1]
 			}
 		}
-		c.P[J+1] = len(c.I)
+		c.P[J+1] = len(ci)
+	}
+	s.ci = ci
+	c.I = make([]int, len(ci))
+	for p, I := range ci {
+		c.I[p] = int(I)
 	}
 	c.X = make([]float64, len(c.I))
 	return c

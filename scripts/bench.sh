@@ -15,7 +15,7 @@
 #   scripts/bench.sh mor                 # transient figure benchmarks only
 #       (Fig9-12, the reduced-order fast path) -> BENCH_<date>_mor.json
 #   scripts/bench.sh pdn                 # power-grid mesh benchmarks only
-#       (factor/solve at 1e3/1e4/1e5 nodes + ordering comparison)
+#       (build/factor/solve at 1e3/1e4/1e5 nodes + ordering comparison)
 #       -> BENCH_<date>_pdn.json
 #   scripts/bench.sh power               # power-subsystem benchmarks only
 #       (Pareto-front trace with warm-start continuation)
@@ -115,8 +115,9 @@ elif [[ "${1:-}" == "mor" ]]; then
   pkgs=(.)
   : "${SUFFIX:=mor}"
 elif [[ "${1:-}" == "pdn" ]]; then
-  # Power-grid mesh snapshot: engine factor/solve at 1e3/1e4/1e5 nodes plus
-  # the AMD-vs-natural direct ordering comparison -> BENCH_<date>_pdn.json.
+  # Power-grid mesh snapshot: mesh build and engine factor/solve at
+  # 1e3/1e4/1e5 nodes plus the AMD-vs-natural direct ordering comparison
+  # -> BENCH_<date>_pdn.json.
   # Custom metrics (fill-ratio, iters, nnz(L+U)) land in each entry's
   # "extra" object.
   pattern='^BenchmarkPDN'
