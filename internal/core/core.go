@@ -52,7 +52,9 @@ type Problem struct {
 	ws *Workspace
 }
 
-func (p Problem) threshold() float64 {
+// Threshold is the delay threshold the problem solves at: F, or 0.5 when
+// F is 0.
+func (p Problem) Threshold() float64 {
 	if p.F == 0 {
 		return 0.5
 	}
@@ -68,7 +70,7 @@ func (p Problem) Validate() error {
 	if err := p.Line.Validate(); err != nil {
 		return err
 	}
-	if f := p.threshold(); !(f > 0) || !(f < 1) {
+	if f := p.Threshold(); !(f > 0) || !(f < 1) {
 		return diag.Domainf("core.Optimize", "threshold f=%g outside (0,1)", f)
 	}
 	return nil
@@ -114,9 +116,9 @@ func (p Problem) Eval(h, k float64) (pade.Model, pade.DelayResult, error) {
 	}
 	var d pade.DelayResult
 	if p.ws != nil && p.ws.warm && p.ws.lastTau > 0 {
-		d, err = m.DelaySeeded(p.ctl, p.threshold(), p.ws.lastTau)
+		d, err = m.DelaySeeded(p.ctl, p.Threshold(), p.ws.lastTau)
 	} else {
-		d, err = m.DelayWith(p.ctl, p.threshold())
+		d, err = m.DelayWith(p.ctl, p.Threshold())
 	}
 	if err == nil && p.ws != nil {
 		p.ws.lastTau = d.Tau
@@ -188,7 +190,7 @@ func (p Problem) poleDerivs(h, k float64) (s1, s2, ds1h, ds1k, ds2h, ds2k comple
 
 // stationarity evaluates the paper's g1 and g2 (Eqs. (7) and (8)) at (h, k):
 // the conditions ∂(τ/h)/∂h = 0 and ∂(τ/h)/∂k = 0 with the delay-equation
-// constraint eliminated.
+// constraint eliminated. It also returns the delay τ they were taken at.
 //
 // Eq. (3) multiplied by (s2−s1) is real for real poles but purely imaginary
 // for a conjugate pair (it has the form z − z̄), and the same holds for its
@@ -196,30 +198,30 @@ func (p Problem) poleDerivs(h, k float64) (s1, s2, ds1h, ds1k, ds2h, ds2k comple
 // therefore the real part in the overdamped regime and the imaginary part in
 // the underdamped one; poleDerivs already excludes the critical band between
 // them.
-func (p Problem) stationarity(h, k float64) (g1, g2 float64, err error) {
+func (p Problem) stationarity(h, k float64) (g1, g2, tau float64, err error) {
 	s1, s2, ds1h, ds1k, ds2h, ds2k, err := p.poleDerivs(h, k)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	_, dres, err := p.Eval(h, k)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	tau := complex(dres.Tau, 0)
-	f := p.threshold()
-	e1 := cmplx.Exp(s1 * tau)
-	e2 := cmplx.Exp(s2 * tau)
+	ctau := complex(dres.Tau, 0)
+	f := p.Threshold()
+	e1 := cmplx.Exp(s1 * ctau)
+	e2 := cmplx.Exp(s2 * ctau)
 	onemf := complex(1-f, 0)
 	ch := complex(h, 0)
 
 	cg1 := onemf*(ds2h-ds1h) - ds2h*e1 + ds1h*e2 -
-		s2*tau*(ds1h+s1/ch)*e1 + s1*tau*(ds2h+s2/ch)*e2
-	cg2 := onemf*(ds2k-ds1k) - ds2k*e1 - s2*tau*ds1k*e1 +
-		ds1k*e2 + s1*tau*ds2k*e2
+		s2*ctau*(ds1h+s1/ch)*e1 + s1*ctau*(ds2h+s2/ch)*e2
+	cg2 := onemf*(ds2k-ds1k) - ds2k*e1 - s2*ctau*ds1k*e1 +
+		ds1k*e2 + s1*ctau*ds2k*e2
 	if imag(s1) != 0 {
-		return imag(cg1), imag(cg2), nil
+		return imag(cg1), imag(cg2), dres.Tau, nil
 	}
-	return real(cg1), real(cg2), nil
+	return real(cg1), real(cg2), dres.Tau, nil
 }
 
 // Optimize minimizes τ/h over (h, k). It runs the paper's Newton solve on
@@ -317,7 +319,7 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 			if err := p.Injector.At(diag.Site{Op: "core.stationarity", Step: start}); err != nil {
 				return err
 			}
-			g1, g2, err := p.stationarity(rc.Denormalize(x[0], x[1]))
+			g1, g2, _, err := p.stationarity(rc.Denormalize(x[0], x[1]))
 			if err != nil {
 				return err
 			}
@@ -484,8 +486,15 @@ func OptimizeSeeded(ctx context.Context, p Problem, seed Seed, ws *Workspace) (o
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
-		// Prefer the Newton (paper) path unless it is measurably worse.
-		if c.pu < best.pu*(1-1e-9) {
+		// Prefer the Newton (paper) path: a later candidate answers when it
+		// is measurably better, and a Newton one (the polish) also when it
+		// is no worse than a Nelder–Mead one, whose point is resolved only
+		// to the simplex's ~1e-6.
+		rel := -1e-9
+		if c.method == MethodNewton && best.method == MethodNelderMead {
+			rel = 1e-9
+		}
+		if c.pu < best.pu*(1+rel) {
 			best = c
 		}
 	}

@@ -108,13 +108,13 @@ func TestStationarityVanishesAtNumericalMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	g1, g2, err := p.stationarity(opt.H, opt.K)
+	g1, g2, _, err := p.stationarity(opt.H, opt.K)
 	if err != nil {
 		t.Skipf("optimum inside critical band: %v", err)
 	}
 	// Scale: compare against the magnitude of g at a clearly non-optimal
 	// point.
-	g1far, g2far, err := p.stationarity(opt.H*1.3, opt.K*1.3)
+	g1far, g2far, _, err := p.stationarity(opt.H*1.3, opt.K*1.3)
 	if err != nil {
 		t.Fatalf("stationarity far: %v", err)
 	}

@@ -119,7 +119,7 @@ func OptimizeHigherOrder(p Problem, q int) (HigherOrderOptimum, error) {
 // (+Inf, 0 when no order works).
 func higherOrderDelay(p Problem, h, k float64, q int) (float64, int) {
 	st := p.Device.Stage(p.Line, h, k)
-	f := p.threshold()
+	f := p.Threshold()
 	for order := q; order >= 2; order-- {
 		fit, err := awe.FromStage(st, order)
 		if err != nil || !fit.Stable() {

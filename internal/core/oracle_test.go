@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/csv"
+	"math"
 	"os"
 	"strconv"
 	"testing"
@@ -82,7 +83,9 @@ func TestOptimizeOracleGrid(t *testing.T) {
 // comparison condition. At 100 nm, f = 0.1, l = 6 nH/mm the closed-form-
 // seeded Newton converges cleanly to a stationary point whose τ/h is about
 // 23× the minimum's; the certificate must reject it, so the Nelder–Mead
-// fallback runs and the answer is the oracle's.
+// fallback runs and the answer is the oracle's optimum. The oracle holds
+// the simplex's point; the Newton polish from it answers, no worse in τ/h
+// and within the simplex's resolution of it in h and k.
 func TestOptimizeCertificateRejectsWorseStationaryPoint(t *testing.T) {
 	var want oraclePoint
 	for _, o := range readOracleGrid(t) {
@@ -112,8 +115,9 @@ func TestOptimizeCertificateRejectsWorseStationaryPoint(t *testing.T) {
 	if nm, ok := rep.Last("opt-nelder-mead"); !ok || nm.Outcome != diag.OutcomeOK {
 		t.Errorf("Nelder–Mead fallback not recorded as OK:\n%s", rep)
 	}
-	if opt.H != want.h || opt.K != want.k || opt.PerUnit != want.tph {
-		t.Errorf("optimum (h=%.17g, k=%.17g, τ/h=%.17g), oracle (%.17g, %.17g, %.17g)",
-			opt.H, opt.K, opt.PerUnit, want.h, want.k, want.tph)
+	if opt.Method != MethodNewton || !(opt.PerUnit <= want.tph) ||
+		math.Abs(opt.H-want.h) > 1e-5*want.h || math.Abs(opt.K-want.k) > 1e-5*want.k {
+		t.Errorf("optimum (h=%.17g, k=%.17g, τ/h=%.17g) by %s, oracle (%.17g, %.17g, %.17g)",
+			opt.H, opt.K, opt.PerUnit, opt.Method, want.h, want.k, want.tph)
 	}
 }

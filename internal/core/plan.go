@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rlcint/internal/diag"
+	"rlcint/internal/num"
 	"rlcint/internal/runctl"
 )
 
@@ -50,7 +51,7 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 	}
 	// Wire the context into the refinement evaluations below: Eval checks
 	// p.ctl, so a cancelled plan stops between candidate evaluations instead
-	// of finishing the golden-section scans on a dead request.
+	// of finishing the k searches on a dead request.
 	p.ctl = runctl.New(ctx, runctl.Limits{})
 	nIdeal := L / opt.H
 	best := LinePlan{Continuous: opt, Length: L, Total: math.Inf(1)}
@@ -61,9 +62,9 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 		}
 		h := L / float64(n)
 		// Re-optimize the repeater size for this fixed segment length.
-		k, err := optimizeKAtFixedH(p, h, opt.K)
+		k, tau, err := optimizeKAtFixedH(p, h, opt.K)
 		if err != nil {
-			// A stop mid-scan surfaces as an infeasible candidate; recover
+			// A stop mid-search surfaces as an infeasible candidate; recover
 			// the typed stop so callers see ErrCancelled, not "no plan".
 			if e := p.ctl.Check("core.PlanLine"); e != nil {
 				return LinePlan{}, e
@@ -71,20 +72,12 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 			lastErr = err
 			continue
 		}
-		_, d, err := p.Eval(h, k)
-		if err != nil {
-			if runctl.IsStop(err) {
-				return LinePlan{}, err
-			}
-			lastErr = err
-			continue
-		}
-		total := float64(n) * d.Tau
+		total := float64(n) * tau
 		if total < best.Total {
 			best.Stages = n
 			best.H = h
 			best.K = k
-			best.StageTau = d.Tau
+			best.StageTau = tau
 			best.Total = total
 		}
 	}
@@ -97,9 +90,86 @@ func PlanLineCtx(ctx context.Context, p Problem, L float64) (LinePlan, error) {
 	return best, nil
 }
 
-// optimizeKAtFixedH minimizes the stage delay over k at a fixed segment
-// length using golden-section search around the seed.
-func optimizeKAtFixedH(p Problem, h, kSeed float64) (float64, error) {
+// optimizeKAtFixedH returns the delay-optimal repeater size at segment
+// length h and the stage delay there. At fixed h that size is the root of
+// the paper's g2 (∂(τ/h)/∂k with the delay equation eliminated), which
+// Brent finds inside [kSeed/2, 2·kSeed] to 1e-10 relative. When that
+// bracket holds no sign change of g2 from − to +, Brent fails, or the
+// root's τ is above a bracket end's, a scan and golden-section search on
+// τ answers instead.
+func optimizeKAtFixedH(p Problem, h, kSeed float64) (k, tau float64, err error) {
+	if k, tau, ok := g2RootK(p, h, kSeed); ok {
+		return k, tau, nil
+	}
+	if err := p.ctl.Check("core.PlanLine"); err != nil {
+		return 0, 0, err
+	}
+	return scanK(p, h, kSeed)
+}
+
+// g2Probe carries g2 at fixed h through Brent: the bracket ends and g2
+// there, which g2RootK evaluates before Brent asks for them, the latest k
+// evaluated and τ there, and a failed evaluation, which ends the search.
+type g2Probe struct {
+	p         Problem
+	h         float64
+	a, b      float64
+	ga, gb    float64
+	last, tau float64
+	err       error
+}
+
+// g2OfK is g2 at (h, k). A failed evaluation reads zero, which ends Brent
+// at once.
+func g2OfK(s *g2Probe, k float64) (g2 float64) {
+	switch k {
+	case s.a:
+		return s.ga
+	case s.b:
+		return s.gb
+	}
+	if s.err = s.p.Injector.At(diag.Site{Op: "core.stationarity", Step: -3}); s.err == nil {
+		_, g2, s.tau, s.err = s.p.stationarity(s.h, k)
+		s.last = k
+	}
+	return g2
+}
+
+// g2RootK is optimizeKAtFixedH's primary path; ok reports whether it
+// answered. g2 carries the sign of ∂τ/∂k in both damping regimes, so g2 < 0
+// at the lower end and g2 > 0 at the upper one bracket a minimum of τ.
+func g2RootK(p Problem, h, kSeed float64) (k, tau float64, ok bool) {
+	s := g2Probe{p: p, h: h}
+	a, b := kSeed/2, 2*kSeed
+	ga := g2OfK(&s, a)
+	tauA, errA := s.tau, s.err
+	gb := g2OfK(&s, b)
+	if errA != nil || s.err != nil || !(ga < 0 && gb > 0) {
+		return 0, 0, false
+	}
+	tauB := s.tau
+	s.a, s.b, s.ga, s.gb = a, b, ga, gb
+	k, err := num.BrentS(g2OfK, &s, a, b, 1e-10*kSeed, 100)
+	if err != nil || s.err != nil {
+		return 0, 0, false
+	}
+	tau = s.tau
+	if k != s.last {
+		_, d, err := p.Eval(h, k)
+		if err != nil {
+			return 0, 0, false
+		}
+		tau = d.Tau
+	}
+	if tau > tauA || tau > tauB {
+		return 0, 0, false
+	}
+	return k, tau, true
+}
+
+// scanK minimizes the stage delay over k at fixed h by a coarse scan of
+// [kSeed/8, 8·kSeed] and golden-section search around its best sample.
+func scanK(p Problem, h, kSeed float64) (k, tau float64, err error) {
 	var evalErr error // the last failed evaluation, wrapped when no k is feasible
 	obj := func(k float64) float64 {
 		_, d, err := p.Eval(h, k)
@@ -121,7 +191,7 @@ func optimizeKAtFixedH(p Problem, h, kSeed float64) (float64, error) {
 		}
 	}
 	a, b := bestK/1.5, bestK*1.5
-	k := bestK
+	k = bestK
 	// Golden-section refinement.
 	const invPhi = 0.6180339887498949
 	x1 := b - invPhi*(b-a)
@@ -139,11 +209,11 @@ func optimizeKAtFixedH(p Problem, h, kSeed float64) (float64, error) {
 		}
 	}
 	k = 0.5 * (a + b)
-	if math.IsInf(obj(k), 1) {
+	if tau = obj(k); math.IsInf(tau, 1) {
 		if evalErr != nil {
-			return 0, fmt.Errorf("core: no feasible k at h=%g: %w", h, evalErr)
+			return 0, 0, fmt.Errorf("core: no feasible k at h=%g: %w", h, evalErr)
 		}
-		return 0, fmt.Errorf("core: no feasible k at h=%g", h)
+		return 0, 0, fmt.Errorf("core: no feasible k at h=%g", h)
 	}
-	return k, nil
+	return k, tau, nil
 }

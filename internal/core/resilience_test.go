@@ -25,9 +25,9 @@ func testProblem() Problem {
 func TestOptimizeNelderMeadRescuesColdStart(t *testing.T) {
 	// Faulting only the cold start (start index 0) must push the optimizer to
 	// the Nelder–Mead fallback and its Newton polish, and land on the
-	// unfaulted optimum. The polish's τ/h agrees with the direct minimum's
-	// to far better than the 1e-9 the selection asks of a later candidate,
-	// so the direct minimum answers.
+	// unfaulted optimum. The polish's τ/h is no worse than the direct
+	// minimum's, so the polish answers, at the unfaulted stationary point
+	// rather than the simplex's ~1e-6 from it.
 	want, err := Optimize(testProblem())
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +45,10 @@ func TestOptimizeNelderMeadRescuesColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize with cold start faulted: %v\n%s", err, rep)
 	}
-	if opt.Method != MethodNelderMead {
-		t.Errorf("Method = %s, want %s (fallback rescue)", opt.Method, MethodNelderMead)
+	if opt.Method != MethodNewton {
+		t.Errorf("Method = %s, want %s (the polish after the fallback)", opt.Method, MethodNewton)
 	}
-	if math.Abs(opt.H-want.H) > 1e-5*want.H || math.Abs(opt.K-want.K) > 1e-5*want.K {
+	if math.Abs(opt.H-want.H) > 1e-8*want.H || math.Abs(opt.K-want.K) > 1e-8*want.K {
 		t.Errorf("optimum (%g, %g) deviates from unfaulted (%g, %g)", opt.H, opt.K, want.H, want.K)
 	}
 	var coldFailed, nmOK, polishOK bool

@@ -198,45 +198,105 @@ func stepDeriv(s stepState, t float64) float64    { return s.m.StepDeriv(t) }
 
 // DelayWith is Delay consulting ctl (which may be nil) between bracket-
 // growth attempts, so cancelling an optimization aborts even a pathological
-// threshold search promptly.
+// threshold search promptly. It is Crossings with one threshold.
 func (m Model) DelayWith(ctl *runctl.Controller, f float64) (DelayResult, error) {
-	if f < 0 || f >= 1 || math.IsNaN(f) {
-		return DelayResult{}, fmt.Errorf("%w: f=%g", ErrThreshold, f)
+	fs := [1]float64{f}
+	var out [1]DelayResult
+	err := m.Crossings(ctl, fs[:], out[:])
+	return out[0], err
+}
+
+// scanSamples is the number of intervals of one scan window.
+const scanSamples = 512
+
+// Crossings solves Eq. (3) for several thresholds of one model: out[i]
+// receives the fs[i]×100% delay, so out must hold len(fs) results. The
+// thresholds must ascend (repeats allowed). One scan of the step response
+// serves them all. It samples a window of 4·max(b1, √b2) at 512 intervals
+// and grows the window fourfold while a threshold is still uncrossed. At
+// each sample it brackets every pending threshold the response has
+// reached: the bracket that threshold's own scan would find, since a
+// sample at or above a higher threshold is at or above every lower one. It
+// polishes each from there, so every result is bit-identical to DelayWith
+// at that threshold. On an error, out holds the thresholds solved before
+// it. ctl (which may be nil) is consulted before each window.
+func (m Model) Crossings(ctl *runctl.Controller, fs []float64, out []DelayResult) error {
+	prev := 0.0
+	for _, f := range fs {
+		if f < 0 || f >= 1 || math.IsNaN(f) {
+			return fmt.Errorf("%w: f=%g", ErrThreshold, f)
+		}
+		if f < prev {
+			return fmt.Errorf("pade: thresholds must ascend, got f=%g after %g: %w", f, prev, diag.ErrDomain)
+		}
+		prev = f
 	}
-	if f == 0 {
-		return DelayResult{}, nil
+	j := 0
+	for ; j < len(fs) && fs[j] == 0; j++ {
+		out[j] = DelayResult{}
 	}
-	g := stepState{m: m, f: f}
 	// Characteristic time: the larger of the Elmore time and the natural
-	// period. Grow the scan window until the crossing is inside.
+	// period. Grow the scan window until every crossing is inside.
 	tScale := math.Max(m.B1, math.Sqrt(m.B2))
 	tmax := 4 * tScale
-	var lo, hi float64
-	var err error
-	for try := 0; ; try++ {
+	for try := 0; j < len(fs); try++ {
 		if err := ctl.Check("pade.Delay"); err != nil {
-			return DelayResult{}, err
+			return err
 		}
-		lo, hi, err = num.FirstCrossingS(stepResidual, g, 0, tmax, 512)
-		if err == nil {
+		var err error
+		if j, err = m.scan(fs, out, j, tmax, tScale); err != nil {
+			return err
+		}
+		if j == len(fs) {
 			break
 		}
 		if try == 24 {
-			return DelayResult{}, fmt.Errorf("pade: Delay(f=%g): no crossing found up to t=%g: %w", f, tmax, err)
+			return fmt.Errorf("pade: Delay(f=%g): no crossing found up to t=%g: %w", fs[j], tmax, num.ErrBadBracket)
 		}
 		tmax *= 4
 	}
-	res, err := num.Newton1DS(stepResidual, stepDeriv, g, lo, hi, 0.5*(lo+hi), 1e-14*tScale+1e-30, 60)
-	if err != nil {
-		// Fall back to Brent inside the bracket: Step is continuous, so this
-		// cannot fail once a bracket exists.
-		tau, berr := num.BrentS(stepResidual, g, lo, hi, 1e-16*tScale, 200)
-		if berr != nil {
-			return DelayResult{}, fmt.Errorf("pade: Delay(f=%g): %w", f, berr)
+	return nil
+}
+
+// scan walks the grid num.CrossingScanS samples on [0, tmax] once and
+// polishes every pending threshold fs[j:] at its first sign change there:
+// safeguarded Newton inside the bracket, falling back to Brent, which
+// cannot fail once a bracket exists since Step is continuous. It returns
+// the index of the first threshold still pending.
+func (m Model) scan(fs []float64, out []DelayResult, j int, tmax, tScale float64) (int, error) {
+	dt := tmax / scanSamples
+	f := fs[j]
+	prevT, prevV := 0.0, m.Step(0)
+	for i := 1; i <= scanSamples; i++ {
+		t := float64(i) * dt
+		v := m.Step(t)
+		if r := v - f; r != 0 && math.Signbit(r) == math.Signbit(prevV-f) {
+			prevT, prevV = t, v
+			continue // no crossing of the lowest pending threshold here
 		}
-		return DelayResult{Tau: tau, Iterations: res.Iterations}, nil
+		for ; j < len(fs); j++ {
+			r := v - fs[j]
+			lo := prevT
+			if r == 0 {
+				lo = t
+			} else if math.Signbit(r) == math.Signbit(prevV-fs[j]) {
+				break
+			}
+			g := stepState{m: m, f: fs[j]}
+			res, err := num.Newton1DS(stepResidual, stepDeriv, g, lo, t, 0.5*(lo+t), 1e-14*tScale+1e-30, 60)
+			if err != nil {
+				if res.Root, err = num.BrentS(stepResidual, g, lo, t, 1e-16*tScale, 200); err != nil {
+					return j, fmt.Errorf("pade: Delay(f=%g): %w", fs[j], err)
+				}
+			}
+			out[j] = DelayResult{Tau: res.Root, Iterations: res.Iterations}
+		}
+		if j == len(fs) {
+			break
+		}
+		f, prevT, prevV = fs[j], t, v
 	}
-	return DelayResult{Tau: res.Root, Iterations: res.Iterations}, nil
+	return j, nil
 }
 
 // DelaySeeded is DelayWith with a warm-start hint: hint is the converged

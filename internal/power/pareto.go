@@ -132,15 +132,12 @@ func newFrontRef(ctx context.Context, m Model, f float64, lim runctl.Limits) (fr
 // x = (log h/h_RC, log k/k_RC); +Inf outside the domain.
 func (r *frontRef) objective(lam float64, x []float64) float64 {
 	h, k := r.rc.Denormalize(math.Exp(x[0]), math.Exp(x[1]))
-	pu := r.prob.PerUnitDelay(h, k)
-	if math.IsInf(pu, 1) {
-		return pu
-	}
-	pw, err := r.m.PerLength(h, k)
-	if err != nil {
+	tau, _, b, err := r.m.evalStage(h, k, r.prob.Threshold())
+	pu := tau / h
+	if err != nil || math.IsInf(pu, 1) {
 		return math.Inf(1)
 	}
-	return pu/r.d0 + lam*pw/r.p0
+	return pu/r.d0 + lam*(b.Total()/h)/r.p0
 }
 
 // frontWS is the per-worker scratch of the front trace: reusable optimizer
@@ -237,19 +234,15 @@ func (r *frontRef) solveWeighted(ctl *runctl.Controller, lam float64, seed [2]fl
 	}
 
 	h, k := r.rc.Denormalize(math.Exp(best[0]), math.Exp(best[1]))
-	_, d, err := r.prob.Eval(h, k)
-	if err != nil {
-		return FrontPoint{}, fmt.Errorf("power: front point λ=%g: %w", lam, err)
-	}
-	stage, err := r.m.Stage(h, k)
+	tau, _, stage, err := r.m.evalStage(h, k, r.prob.Threshold())
 	if err != nil {
 		return FrontPoint{}, fmt.Errorf("power: front point λ=%g: %w", lam, err)
 	}
 	pw := stage.Total() / h
 	return FrontPoint{
-		Weight: lam, H: h, K: k, Tau: d.Tau,
-		Delay: d.Tau / h, Power: pw, Stage: stage,
-		DelayRatio: d.Tau / h / r.d0, PowerRatio: pw / r.p0,
+		Weight: lam, H: h, K: k, Tau: tau,
+		Delay: tau / h, Power: pw, Stage: stage,
+		DelayRatio: tau / h / r.d0, PowerRatio: pw / r.p0,
 	}, nil
 }
 

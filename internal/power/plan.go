@@ -103,20 +103,9 @@ func PlanPower(ctx context.Context, m Model, f, L float64, opts PlanOptions) (Pl
 	bestPower := math.Inf(1)
 	bestDelay := math.Inf(1)
 	var bestA, bestB run
+	thr := prob.Threshold()
+	pruneSC := m.Node.VDD >= 2*m.Node.Vt
 
-	// evalAt measures one stage of scheme (h, k); infeasible stages are
-	// skipped rather than fatal.
-	evalAt := func(h, k float64) (tau float64, br Breakdown, ok bool) {
-		_, d, err := prob.Eval(h, k)
-		if err != nil {
-			return 0, Breakdown{}, false
-		}
-		br, err = m.Stage(h, k)
-		if err != nil {
-			return 0, Breakdown{}, false
-		}
-		return d.Tau, br, true
-	}
 	consider := func(a, b run) {
 		delay := float64(a.n)*a.tau + float64(b.n)*b.tau
 		power := float64(a.n)*a.br.Total() + float64(b.n)*b.br.Total()
@@ -172,8 +161,15 @@ func PlanPower(ctx context.Context, m Model, f, L float64, opts PlanOptions) (Pl
 					if hB < B.H/3 || hB > 3*B.H {
 						continue
 					}
-					tauB, brB, ok := evalAt(hB, B.K)
-					if !ok {
+					// A split whose power without the short-circuit term
+					// already exceeds the best is out: the term is ≥ 0
+					// when VDD ≥ 2·Vt, so no delay solve can save it.
+					if pruneSC && aPower+float64(nB)*m.breakdown(hB, B.K, 0).Total() > bestPower {
+						continue
+					}
+					// Infeasible stages are skipped rather than fatal.
+					tauB, _, brB, err := m.evalStage(hB, B.K, thr)
+					if err != nil {
 						continue
 					}
 					consider(runA, run{n: nB, h: hB, k: B.K, tau: tauB, br: brB})

@@ -115,3 +115,18 @@ func TestPlanPowerDomain(t *testing.T) {
 		t.Errorf("negative MaxPenalty: want ErrDomain, got %v", err)
 	}
 }
+
+// BenchmarkPlanPower measures one RIP plan (100 nm, 2 nH/mm, f = 0.9,
+// 30 mm): the baseline PlanLine, the Pareto front and the split search.
+func BenchmarkPlanPower(b *testing.B) {
+	m, err := New(tech.Node100(), 2e-6, Params{Alpha: 0.15, Freq: 1e9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanPower(context.Background(), m, frontF, 0.03, PlanOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

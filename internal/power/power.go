@@ -122,22 +122,8 @@ func (m Model) Beta(k float64) float64 {
 // its two-pole step response — the input slew seen by the next identical
 // repeater.
 func (m Model) Slew(h, k float64) (float64, error) {
-	if h <= 0 || k <= 0 || math.IsNaN(h) || math.IsNaN(k) {
-		return 0, diag.Domainf("power.Slew", "requires positive h, k; got h=%g k=%g", h, k)
-	}
-	tp, err := pade.FromStage(m.Device.Stage(m.Line, h, k))
-	if err != nil {
-		return 0, err
-	}
-	d10, err := tp.Delay(0.1)
-	if err != nil {
-		return 0, err
-	}
-	d90, err := tp.Delay(0.9)
-	if err != nil {
-		return 0, err
-	}
-	return d90.Tau - d10.Tau, nil
+	_, slew, _, err := m.evalStage(h, k, 0.9)
+	return slew, err
 }
 
 // Stage estimates the power of one repeater stage at sizing (h, k).
@@ -148,18 +134,8 @@ func (m Model) Slew(h, k float64) (float64, error) {
 // transition of the preceding identical stage. Leakage: k·Ioff·VDD,
 // independent of activity.
 func (m Model) Stage(h, k float64) (Breakdown, error) {
-	slew, err := m.Slew(h, k)
-	if err != nil {
-		return Breakdown{}, err
-	}
-	v := m.Node.VDD
-	af := m.Params.Alpha * m.Params.Freq
-	esc := m.Beta(k) / 12 * math.Pow(v-2*m.Node.Vt, 3) * slew
-	return Breakdown{
-		Dynamic:      af * m.SwitchedCap(h, k) * v * v,
-		ShortCircuit: af * 2 * esc,
-		Leakage:      k * m.Node.Ioff * v,
-	}, nil
+	_, _, b, err := m.evalStage(h, k, 0.9)
+	return b, err
 }
 
 // PerLength returns the total power per unit line length at sizing (h, k),
@@ -170,6 +146,51 @@ func (m Model) PerLength(h, k float64) (float64, error) {
 		return 0, err
 	}
 	return b.Total() / h, nil
+}
+
+// evalStage evaluates one (h, k) stage from a single two-pole model and
+// one scan of its step response: the f×100% delay τ, the 10–90% slew and
+// the power breakdown. τ is bit-identical to core.Problem.Eval's at
+// threshold f, and a threshold of 10% or 90% shares that point's solve.
+func (m Model) evalStage(h, k, f float64) (tau, slew float64, b Breakdown, err error) {
+	if !(h > 0) || !(k > 0) {
+		return 0, 0, Breakdown{}, diag.Domainf("power.Stage", "requires positive h, k; got h=%g k=%g", h, k)
+	}
+	tp, err := pade.FromStage(m.Device.Stage(m.Line, h, k))
+	if err != nil {
+		return 0, 0, Breakdown{}, err
+	}
+	// The thresholds ascending, and where the 10%, 90% and f delays land.
+	fs, n := [3]float64{0.1, 0.9, f}, 3
+	i10, i90, iF := 0, 1, 2
+	switch {
+	case f < 0.1:
+		fs, i10, i90, iF = [3]float64{f, 0.1, 0.9}, 1, 2, 0
+	case f == 0.1:
+		n, iF = 2, 0
+	case f < 0.9:
+		fs, i90, iF = [3]float64{0.1, f, 0.9}, 2, 1
+	case f == 0.9:
+		n, iF = 2, 1
+	}
+	var d [3]pade.DelayResult
+	if err := tp.Crossings(nil, fs[:n], d[:n]); err != nil {
+		return 0, 0, Breakdown{}, err
+	}
+	slew = d[i90].Tau - d[i10].Tau
+	return d[iF].Tau, slew, m.breakdown(h, k, slew), nil
+}
+
+// breakdown composes the stage's power terms for a given input slew.
+func (m Model) breakdown(h, k, slew float64) Breakdown {
+	v := m.Node.VDD
+	af := m.Params.Alpha * m.Params.Freq
+	esc := m.Beta(k) / 12 * math.Pow(v-2*m.Node.Vt, 3) * slew
+	return Breakdown{
+		Dynamic:      af * m.SwitchedCap(h, k) * v * v,
+		ShortCircuit: af * 2 * esc,
+		Leakage:      k * m.Node.Ioff * v,
+	}
 }
 
 // EnergyFromWave integrates instantaneous power v·i over a sampled waveform

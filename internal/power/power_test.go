@@ -3,9 +3,12 @@ package power
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
+	"rlcint/internal/core"
 	"rlcint/internal/diag"
+	"rlcint/internal/pade"
 	"rlcint/internal/repeater"
 	"rlcint/internal/spice"
 	"rlcint/internal/tech"
@@ -254,5 +257,65 @@ func TestEnergyFromWave(t *testing.T) {
 	}
 	if e := EnergyFromWave(nil, nil, nil); e != 0 {
 		t.Errorf("empty waveform: %g", e)
+	}
+}
+
+// TestEvalStageMatchesSeparateSolves: the one-model, one-scan stage
+// evaluation returns exactly the bits of the separate solves it replaces:
+// τ from core.Problem.Eval, and the slew and breakdown from 10% and 90%
+// delay solves of their own, on random (h, k, f) including thresholds equal
+// to, below and above 10% and 90%.
+func TestEvalStageMatchesSeparateSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, node := range []tech.Node{tech.Node100(), tech.Node250()} {
+		for _, l := range []float64{0, 1e-6, 2e-6, 4e-6} {
+			m, err := New(node, l, Params{Alpha: 0.15, Freq: 1e9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob := core.Problem{Device: m.Device, Line: m.Line}
+			for i := 0; i < 40; i++ {
+				h := 1e-3 * math.Pow(40, rng.Float64())
+				k := 10 * math.Pow(100, rng.Float64())
+				f := []float64{0.1, 0.9, 0.05, 0.95, 0.05 + 0.9*rng.Float64()}[i%5]
+				tau, slew, b, err := m.evalStage(h, k, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prob.F = f
+				_, d, err := prob.Eval(h, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tp, err := pade.FromStage(m.Device.Stage(m.Line, h, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				d10, err := tp.Delay(0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d90, err := tp.Delay(0.9)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSlew := d90.Tau - d10.Tau
+				v := m.Node.VDD
+				af := m.Params.Alpha * m.Params.Freq
+				want := Breakdown{
+					Dynamic:      af * m.SwitchedCap(h, k) * v * v,
+					ShortCircuit: af * 2 * (m.Beta(k) / 12 * math.Pow(v-2*m.Node.Vt, 3) * wantSlew),
+					Leakage:      k * m.Node.Ioff * v,
+				}
+				stage, err := m.Stage(h, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tau != d.Tau || slew != wantSlew || b != want || stage != want {
+					t.Errorf("%s l=%g h=%g k=%g f=%g: evalStage (τ %v, slew %v, %+v), Stage %+v; separate solves (τ %v, slew %v, %+v)",
+						node.Name, l, h, k, f, tau, slew, b, stage, d.Tau, wantSlew, want)
+				}
+			}
+		}
 	}
 }

@@ -102,7 +102,8 @@ func TestCacheKeysPinned(t *testing.T) {
 // delay, the closed-form rows, the PDN and power solvers — answer as if no
 // fault were set; a degraded row opted out with no_degraded answers 422
 // with the degraded reason as its kind. A faulted core.stationarity is
-// recovered by the Nelder–Mead rung, so every row answers 200 undegraded.
+// recovered by the Nelder–Mead rung, and in PlanLine's repeater sizing by
+// the k scan, so every row answers 200 undegraded.
 // No row may 500.
 func TestRouteFaults(t *testing.T) {
 	type outcome struct {

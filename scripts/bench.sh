@@ -18,7 +18,7 @@
 #       (build/factor/solve at 1e3/1e4/1e5 nodes + ordering comparison)
 #       -> BENCH_<date>_pdn.json
 #   scripts/bench.sh power               # power-subsystem benchmarks only
-#       (Pareto-front trace with warm-start continuation)
+#       (Pareto-front trace with warm-start continuation, RIP power plan)
 #       -> BENCH_<date>_power.json
 #   scripts/bench.sh compare [new] [base]
 #       Diff two snapshots and exit nonzero on a >15% ns/op regression or
@@ -125,9 +125,10 @@ elif [[ "${1:-}" == "pdn" ]]; then
   : "${SUFFIX:=pdn}"
 elif [[ "${1:-}" == "power" ]]; then
   # Power-subsystem snapshot: the delay/power Pareto-front trace (warm-start
-  # continuation over the λ grid) -> BENCH_<date>_power.json. Soft compare
-  # tier: timing regressions exit 1, not 3.
-  pattern='^BenchmarkParetoFront'
+  # continuation over the λ grid) and the RIP mixed-scheme plan built on it
+  # -> BENCH_<date>_power.json. Soft compare tier: timing regressions exit 1,
+  # not 3.
+  pattern='^Benchmark(ParetoFront|PlanPower)$'
   pkgs=(./internal/power/)
   : "${SUFFIX:=power}"
 fi
