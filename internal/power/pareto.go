@@ -104,7 +104,10 @@ type frontRef struct {
 	x0   [2]float64 // delay optimum in (log h/h_RC, log k/k_RC)
 }
 
-func newFrontRef(ctx context.Context, m Model, f float64, lim runctl.Limits) (frontRef, error) {
+// newFrontRef sets up the reference quantities of problem (m, f). opt is
+// the cold delay optimum of that problem when the caller has already
+// solved it (PlanPower's baseline plan), or nil to solve it here.
+func newFrontRef(ctx context.Context, m Model, f float64, lim runctl.Limits, opt *core.Optimum) (frontRef, error) {
 	prob := core.Problem{Device: m.Device, Line: m.Line, F: f, Limits: lim}
 	if err := prob.Validate(); err != nil {
 		return frontRef{}, err
@@ -113,16 +116,19 @@ func newFrontRef(ctx context.Context, m Model, f float64, lim runctl.Limits) (fr
 	if err != nil {
 		return frontRef{}, err
 	}
-	opt, err := core.OptimizeWS(ctx, prob, core.NewWorkspace())
-	if err != nil {
-		return frontRef{}, err
+	if opt == nil {
+		o, err := core.OptimizeWS(ctx, prob, core.NewWorkspace())
+		if err != nil {
+			return frontRef{}, err
+		}
+		opt = &o
 	}
 	p0, err := m.PerLength(opt.H, opt.K)
 	if err != nil {
 		return frontRef{}, err
 	}
 	return frontRef{
-		m: m, prob: prob, rc: rc, opt: opt,
+		m: m, prob: prob, rc: rc, opt: *opt,
 		d0: opt.PerUnit, p0: p0,
 		x0: [2]float64{math.Log(opt.H / rc.H), math.Log(opt.K / rc.K)},
 	}, nil
@@ -261,8 +267,15 @@ func ParetoFront(ctx context.Context, m Model, f float64, opts FrontOptions) ([]
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	return paretoFront(ctx, m, f, opts, nil)
+}
+
+// paretoFront is ParetoFront for validated options, with the problem's
+// cold delay optimum passed in when the caller has solved it already (see
+// newFrontRef).
+func paretoFront(ctx context.Context, m Model, f float64, opts FrontOptions, opt *core.Optimum) ([]FrontPoint, error) {
 	ctl := runctl.New(ctx, opts.Limits)
-	ref, err := newFrontRef(ctx, m, f, opts.Limits)
+	ref, err := newFrontRef(ctx, m, f, opts.Limits, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +320,7 @@ func OptimizePowerBudget(ctx context.Context, m Model, f, budget float64, lim ru
 		return FrontPoint{}, diag.Domainf("power.OptimizePowerBudget", "budget %g W/m must be positive", budget)
 	}
 	ctl := runctl.New(ctx, lim)
-	ref, err := newFrontRef(ctx, m, f, lim)
+	ref, err := newFrontRef(ctx, m, f, lim, nil)
 	if err != nil {
 		return FrontPoint{}, err
 	}

@@ -87,7 +87,12 @@ func PlanPower(ctx context.Context, m Model, f, L float64, opts PlanOptions) (Pl
 	}
 	basePower := float64(base.Stages) * baseStage.Total()
 
-	front, err := ParetoFront(ctx, m, f, opts.Front)
+	if err := opts.Front.validate(); err != nil {
+		return Plan{}, err
+	}
+	// The baseline plan solved the front's delay optimum already: the same
+	// problem, cold, on a fresh workspace.
+	front, err := paretoFront(ctx, m, f, opts.Front, &base.Continuous)
 	if err != nil {
 		return Plan{}, err
 	}
